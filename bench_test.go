@@ -312,9 +312,11 @@ func BenchmarkSchedulerShuffle(b *testing.B) {
 	for i := range events {
 		events[i] = &eventloop.Event{Kind: "net-read"}
 	}
+	// Reuse the output buffers across calls, as the loop does.
+	var run, deferred []*eventloop.Event
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		run, deferred := s.ShuffleReady(events)
+		run, deferred = s.ShuffleReady(events, run[:0], deferred[:0])
 		if len(run)+len(deferred) != len(events) {
 			b.Fatal("lost events")
 		}
@@ -375,10 +377,10 @@ func BenchmarkLoopTimersInstrumented(b *testing.B) {
 // the wall clock and under the virtual clock. The wall run pays real time
 // for network latency, injected delays, and detector timers; the virtual
 // run jumps straight to each deadline. The ratio between the two ns/op IS
-// the campaign speedup from -virtual-time. The virtual arm runs the way the
-// campaign actually runs virtual-time trials: one trial arena per worker,
-// reset between trials, rather than rebuilding the loop/pool/clock world
-// from scratch every seed.
+// the speedup virtual time gives every campaign trial. The virtual arm runs
+// the way a campaign runs its trials: one trial arena per worker, reset
+// between trials, rather than rebuilding the loop/pool/clock world from
+// scratch every seed.
 func BenchmarkTrialVirtualVsWall(b *testing.B) {
 	app := bugs.ByAbbr("SIO")
 	b.Run("wall", func(b *testing.B) {
@@ -522,7 +524,6 @@ func BenchmarkFleetSlice(b *testing.B) {
 		GlobalTrials: 1 << 30, // never the limiting factor
 		SliceTrials:  5,
 		BaseSeed:     1,
-		VirtualTime:  true,
 		Oracle:       true,
 		Coverage:     true,
 	})

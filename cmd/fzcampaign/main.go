@@ -3,7 +3,9 @@
 // UCB1 bandit steers the Table-3 parameterization of each trial by
 // schedule-novelty reward, manifesting trials are delta-debugged down to a
 // minimal perturbation set, and the whole campaign checkpoints to a JSONL
-// journal it can resume from after a kill.
+// journal it can resume from after a kill. Every trial runs in virtual
+// time on its worker's reusable trial world, so a trial is a pure function
+// of its seed and finishes at CPU speed.
 //
 // Usage:
 //
@@ -14,7 +16,7 @@
 //	fzcampaign -app SIO -trials 200 -checkpoint c.jsonl -resume
 //	fzcampaign -app MGS -trials 50 -metrics m.jsonl   # per-trial metrics stream
 //	fzcampaign -app MGS -trials 200 -oracle -oracle-out viol.jsonl
-//	fzcampaign -app SIO -trials 500 -coverage -virtual-time   # greybox: interleaving-coverage feedback
+//	fzcampaign -app SIO -trials 500 -coverage         # greybox: interleaving-coverage feedback
 package main
 
 import (
@@ -49,11 +51,9 @@ func main() {
 		resume     = flag.Bool("resume", false, "resume from -checkpoint instead of starting fresh")
 		metOut     = flag.String("metrics", "", "append one JSONL metrics snapshot per trial to FILE")
 		quiet      = flag.Bool("q", false, "suppress per-trial progress lines")
-		vtime      = flag.Bool("virtual-time", false, "run each trial on a virtual clock (simulated time, CPU-bound)")
 		orc        = flag.Bool("oracle", false, "attach the happens-before oracle to each trial (violation counts journaled, reward signal)")
 		orcOut     = flag.String("oracle-out", "", "write oracle violation JSONL to FILE (implies -oracle)")
 		coverage   = flag.Bool("coverage", false, "interleaving-coverage feedback: coverage-based corpus admission and bandit reward (implies -oracle)")
-		noArena    = flag.Bool("no-arena", false, "disable per-worker trial arenas: rebuild the trial world from scratch every trial")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile of the campaign to FILE")
 		memProf    = flag.String("memprofile", "", "write a heap profile at campaign end to FILE")
 	)
@@ -123,11 +123,9 @@ func main() {
 		CheckpointPath:   *checkpoint,
 		Resume:           *resume,
 		Metrics:          metW,
-		VirtualTime:      *vtime,
 		Oracle:           *orc,
 		OracleOut:        repW,
 		Coverage:         *coverage,
-		NoArena:          *noArena,
 	}
 	if !*quiet {
 		cfg.Progress = func(e campaign.TrialEntry) {

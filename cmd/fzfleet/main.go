@@ -8,14 +8,15 @@
 //
 // The fleet checkpoints everything to a journal directory — its own
 // allocator journal plus one campaign journal per app — and resumes from a
-// kill -9 with bit-identical allocator watermarks.
+// kill -9 with bit-identical allocator watermarks. Every trial runs in
+// virtual time, so a fleet is CPU-bound and deterministic per seed.
 //
 // Usage:
 //
 //	fzfleet -list                                      # show the corpus
-//	fzfleet -trials 3600 -virtual-time                 # whole corpus, one budget
+//	fzfleet -trials 3600                               # whole corpus, one budget
 //	fzfleet -apps SIO,KUE,MGS -trials 300 -slice 10
-//	fzfleet -trials 3600 -dir fleet/ -virtual-time -oracle -coverage
+//	fzfleet -trials 3600 -dir fleet/ -oracle -coverage
 //	fzfleet -trials 3600 -dir fleet/ -resume           # continue after a kill
 //	fzfleet -trials 1000 -policy round-robin           # uniform baseline
 //	fzfleet -trials 3600 -dashboard - -dashboard-every 16
@@ -49,11 +50,9 @@ func main() {
 		decay     = flag.Float64("decay", fleet.DefaultDecay, "yield EMA keep-fraction (decaying window)")
 		discount  = flag.Float64("manifest-discount", fleet.DefaultManifestDiscount, "yield factor for campaigns whose bug already manifested")
 		fixed     = flag.Bool("fixed", false, "run the patched variants")
-		vtime     = flag.Bool("virtual-time", false, "run each trial on a virtual clock (simulated time, CPU-bound)")
 		orc       = flag.Bool("oracle", false, "attach the happens-before oracle to every trial")
 		orcOut    = flag.String("oracle-out", "", "write oracle violation JSONL to FILE (implies -oracle)")
 		coverage  = flag.Bool("coverage", false, "interleaving-coverage feedback in every campaign (implies -oracle)")
-		noArena   = flag.Bool("no-arena", false, "disable per-worker trial arenas in every campaign")
 		dir       = flag.String("dir", "", "checkpoint directory (fleet journal + one campaign journal per app)")
 		resume    = flag.Bool("resume", false, "resume the fleet from -dir instead of starting fresh")
 		metOut    = flag.String("metrics", "", "append per-trial JSONL metrics for every campaign to FILE")
@@ -160,10 +159,8 @@ func main() {
 		Epsilon:          *epsilon,
 		Decay:            *decay,
 		ManifestDiscount: *discount,
-		VirtualTime:      *vtime,
 		Oracle:           *orc,
 		Coverage:         *coverage,
-		NoArena:          *noArena,
 		Dir:              *dir,
 		Resume:           *resume,
 		Metrics:          metW,

@@ -188,7 +188,7 @@ func akaRun(cfg RunConfig, fixed bool) Outcome {
 	})
 
 	AddTimerNoise(l, 1500*time.Microsecond, 50*time.Millisecond)
-	AddFSNoise(l, cfg.Seed+7, 2*time.Millisecond, 35*time.Millisecond)
+	cfg.AddFSNoise(l, cfg.Seed+7, 2*time.Millisecond, 35*time.Millisecond)
 	if err := l.Run(); err != nil {
 		return Outcome{Note: "run: " + err.Error()}
 	}

@@ -1,7 +1,6 @@
 package bugs
 
 import (
-	"sync"
 	"time"
 
 	"nodefz/internal/eventloop"
@@ -72,9 +71,9 @@ type Arena struct {
 	// sound.
 	multiLoop bool
 
-	// FS-noise cache: AddFSNoise's private filesystem and its jittered
-	// async binding, reset and reseeded per trial (a fresh Bind allocates a
-	// multi-KB rand state).
+	// FS-noise cache: RunConfig.AddFSNoise's private filesystem and its
+	// jittered async binding, reset and reseeded per trial (a fresh Bind
+	// allocates a multi-KB rand state).
 	noiseFS  *simfs.FS
 	noiseFSA *simfs.Async
 }
@@ -136,7 +135,6 @@ func (a *Arena) Begin(cfg RunConfig) RunConfig {
 // unknown state. Goroutines the dead world leaked stay parked on the old
 // clock, exactly as a panicked fresh-world trial leaks them.
 func (a *Arena) Discard() {
-	unregisterArena(a.loop)
 	a.loop = nil
 	a.net = nil
 	a.noiseFS = nil
@@ -164,7 +162,6 @@ func (a *Arena) acquireLoop(cfg RunConfig) *eventloop.Loop {
 		fresh := cfg
 		fresh.Arena = nil
 		a.loop = fresh.NewLoop()
-		registerArena(a.loop, a)
 		return a.loop
 	}
 	// Reuse: re-stamp the recorder with the (rewound) trial clock, respawn
@@ -212,37 +209,4 @@ func (a *Arena) acquireNoise(l *eventloop.Loop, latency time.Duration, seed int6
 		a.noiseFSA.Reseed(seed)
 	}
 	return a.noiseFSA
-}
-
-// arenas maps a resident loop to its arena so loop-keyed helpers
-// (AddFSNoise) can find the arena's caches without threading it through
-// every signature. Entries live as long as the arena's world does.
-var (
-	arenaMu sync.Mutex
-	arenas  map[*eventloop.Loop]*Arena
-)
-
-func registerArena(l *eventloop.Loop, a *Arena) {
-	arenaMu.Lock()
-	if arenas == nil {
-		arenas = make(map[*eventloop.Loop]*Arena)
-	}
-	arenas[l] = a
-	arenaMu.Unlock()
-}
-
-func unregisterArena(l *eventloop.Loop) {
-	if l == nil {
-		return
-	}
-	arenaMu.Lock()
-	delete(arenas, l)
-	arenaMu.Unlock()
-}
-
-func arenaOf(l *eventloop.Loop) *Arena {
-	arenaMu.Lock()
-	a := arenas[l]
-	arenaMu.Unlock()
-	return a
 }

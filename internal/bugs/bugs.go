@@ -68,18 +68,16 @@ type RunConfig struct {
 	Arena *Arena
 }
 
-// virtualTime is the process-wide default clock mode, set by the CLIs'
-// -virtual-time flag. Individual trials can always override it by setting
-// RunConfig.Clock explicitly.
+// virtualTime is the process-wide default clock mode for single-shot
+// trials, set by the -virtual-time flag of fzrun and fzbench. Individual
+// trials can always override it by setting RunConfig.Clock explicitly;
+// campaign trials always do.
 var virtualTime atomic.Bool
 
 // SetVirtualTime switches the process-wide default for new trials: when on,
 // TrialClock hands every trial a fresh virtual clock, so waits elapse in
 // simulated time and trials run at CPU speed.
 func SetVirtualTime(on bool) { virtualTime.Store(on) }
-
-// VirtualTimeEnabled reports the process-wide default set by SetVirtualTime.
-func VirtualTimeEnabled() bool { return virtualTime.Load() }
 
 // TrialClock returns the clock a new trial's RunConfig should carry: a fresh
 // virtual clock when virtual time is enabled (each trial needs its own — a
@@ -187,17 +185,19 @@ func AddTimerNoise(l *eventloop.Loop, every, until time.Duration) {
 }
 
 // AddFSNoise registers the file-system noise §5.1.1's adapted test cases
-// introduce: an interval timer issuing small stat calls against a private
-// in-memory filesystem. Under vanilla scheduling the stats run on spare
-// worker-pool capacity and are invisible; under the fuzzer — pool size 1,
-// task-queue lookahead — they share the single worker's queue with the
-// application's file-system operations, and the scheduler's random task
-// picking (Table 3, worker DoF) can hold an application operation back
-// behind them.
-func AddFSNoise(l *eventloop.Loop, seed int64, every, until time.Duration) {
+// introduce on the trial's loop l: an interval timer issuing small stat
+// calls against a private in-memory filesystem. Under vanilla scheduling
+// the stats run on spare worker-pool capacity and are invisible; under the
+// fuzzer — pool size 1, task-queue lookahead — they share the single
+// worker's queue with the application's file-system operations, and the
+// scheduler's random task picking (Table 3, worker DoF) can hold an
+// application operation back behind them. In an arena trial whose l is the
+// arena's resident loop, the filesystem and its binding are the arena's,
+// reset and reseeded instead of rebuilt.
+func (cfg RunConfig) AddFSNoise(l *eventloop.Loop, seed int64, every, until time.Duration) {
 	var fsa *simfs.Async
-	if a := arenaOf(l); a != nil {
-		fsa = a.acquireNoise(l, 500*time.Microsecond, seed)
+	if cfg.Arena != nil {
+		fsa = cfg.Arena.acquireNoise(l, 500*time.Microsecond, seed)
 	}
 	if fsa == nil {
 		noiseFS := simfs.New()

@@ -214,7 +214,7 @@ func TestAddTimerNoiseStops(t *testing.T) {
 
 func TestAddFSNoiseStops(t *testing.T) {
 	l := eventloop.New(eventloop.Options{})
-	AddFSNoise(l, 1, 2*time.Millisecond, 6*time.Millisecond)
+	RunConfig{}.AddFSNoise(l, 1, 2*time.Millisecond, 6*time.Millisecond)
 	done := make(chan error, 1)
 	go func() { done <- l.Run() }()
 	select {

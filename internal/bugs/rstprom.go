@@ -145,7 +145,7 @@ func rstPromRun(cfg RunConfig, fixed bool) Outcome {
 	}
 	l.SetTimeoutNamed("request", 5*time.Millisecond, poll)
 
-	AddFSNoise(l, cfg.Seed, 1200*time.Microsecond, 20*time.Millisecond)
+	cfg.AddFSNoise(l, cfg.Seed, 1200*time.Microsecond, 20*time.Millisecond)
 	AddTimerNoise(l, 1500*time.Microsecond, 30*time.Millisecond)
 	if err := l.Run(); err != nil {
 		return Outcome{Note: "run: " + err.Error()}

@@ -103,7 +103,7 @@ func wptRun(cfg RunConfig, fixed bool) Outcome {
 		func(bool) {})
 
 	AddTimerNoise(l, 1500*time.Microsecond, 50*time.Millisecond)
-	AddFSNoise(l, cfg.Seed+7, 2*time.Millisecond, 30*time.Millisecond)
+	cfg.AddFSNoise(l, cfg.Seed+7, 2*time.Millisecond, 30*time.Millisecond)
 	if err := l.Run(); err != nil {
 		return Outcome{Note: "run: " + err.Error()}
 	}

@@ -43,24 +43,16 @@ type Config struct {
 	BaseSeed int64
 	// Budget, when > 0, is the wall-clock budget: no new trial starts after
 	// it elapses (in-flight trials finish). A budget stop leaves the journal
-	// resumable. The budget is always wall time — it measures real cost —
-	// even when VirtualTime runs the trials themselves in simulated time.
+	// resumable. The budget is wall time — it measures real cost — while
+	// the trials themselves run in simulated time.
 	Budget time.Duration
 
-	// VirtualTime runs every trial (and minimization replay) on its own
-	// virtual clock: waits elapse in simulated time, so a campaign is bounded
-	// by CPU, not by the corpus's deliberately slow substrate latencies.
-	// Trial outcomes stay deterministic per seed; ElapsedMS in the journal
-	// still reports wall time.
+	// VirtualTime has no effect.
+	//
+	// Deprecated: every campaign trial (and minimization replay) runs on
+	// its own virtual clock, so a trial is a pure function of its seed; the
+	// field is ignored.
 	VirtualTime bool
-
-	// NoArena disables per-worker trial arenas: every trial rebuilds its
-	// full world (loop, worker pool, network, clock, registry) the way
-	// single-shot runs do, instead of resetting a reusable one in place.
-	// Arenas only engage under virtual time, where they are required to be
-	// behavior-identical; this switch exists for the differential tests
-	// that prove it and as a debugging escape hatch.
-	NoArena bool
 
 	// NoveltyThreshold is the corpus admission threshold (0 means
 	// DefaultNoveltyThreshold; negative means literally 0, admit any
@@ -118,18 +110,6 @@ type Config struct {
 	// Progress, when non-nil, receives one line per executed trial; the CLI
 	// uses it for streaming output. Called concurrently.
 	Progress func(TrialEntry)
-}
-
-// trialClock picks a fresh per-trial clock: virtual when the campaign (or
-// the process-wide bugs.SetVirtualTime default) asks for it, nil otherwise.
-func trialClock(virtual bool) vclock.Clock {
-	if c := bugs.TrialClock(); c != nil {
-		return c
-	}
-	if virtual {
-		return vclock.NewVirtual()
-	}
-	return nil
 }
 
 func (c Config) withDefaults() Config {
@@ -263,16 +243,15 @@ func New(cfg Config) (*Campaign, error) {
 		}
 		run = cfg.App.RunFixed
 	}
-	if cfg.VirtualTime {
-		// Minimization replays build their own RunConfigs; this wrapper makes
-		// sure they, too, get a fresh virtual clock per execution.
-		inner := run
-		run = func(rc bugs.RunConfig) bugs.Outcome {
-			if rc.Clock == nil {
-				rc.Clock = vclock.NewVirtual()
-			}
-			return inner(rc)
+	// Trials get their clock from the worker's arena; minimization replays
+	// build their own RunConfigs, and this wrapper gives each of them a
+	// fresh virtual clock.
+	inner := run
+	run = func(rc bugs.RunConfig) bugs.Outcome {
+		if rc.Clock == nil {
+			rc.Clock = vclock.NewVirtual()
 		}
+		return inner(rc)
 	}
 
 	c := &Campaign{
@@ -435,11 +414,7 @@ func (c *Campaign) RunRange(from, to int) SliceReport {
 		ex := Executor{Workers: c.cfg.Workers}
 		worlds := c.acquireWorlds(ex.WorkerCount(len(pending)))
 		ex.RunIndexed(len(pending), func(wk, j int) {
-			var w *world
-			if worlds != nil {
-				w = worlds[wk]
-			}
-			st := c.runTrial(pending[j], w)
+			st := c.runTrial(pending[j], worlds[wk])
 			cmu.Lock()
 			switch st {
 			case trialRan:
@@ -478,12 +453,8 @@ func (c *Campaign) RunRange(from, to int) SliceReport {
 }
 
 // acquireWorlds returns the per-worker reusable trial worlds for a slice
-// using w workers, growing the campaign's pool on first need; nil when
-// arenas are disabled (wall-time trials, or Config.NoArena).
+// using w workers, growing the campaign's pool on first need.
 func (c *Campaign) acquireWorlds(w int) []*world {
-	if c.cfg.NoArena || !(c.cfg.VirtualTime || bugs.VirtualTimeEnabled()) {
-		return nil
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for len(c.worlds) < w {
@@ -500,11 +471,10 @@ const (
 	trialStopped
 )
 
-// runTrial executes one trial end to end: bandit select, scheduler build,
-// run, corpus admission, reward, journal, metrics, optional minimization.
-// w, when non-nil, is the calling worker's reusable world: the trial resets
-// and reuses its machinery instead of building fresh; nil (wall time,
-// NoArena) keeps the historical build-everything path.
+// runTrial executes one trial end to end in the calling worker's world w:
+// bandit select, world reset, run, corpus admission, reward, journal,
+// metrics, optional minimization. A world's first trial builds its
+// machinery; every later one resets it in place.
 func (c *Campaign) runTrial(i int, w *world) trialStatus {
 	cfg := c.cfg
 	if !c.deadline.IsZero() && time.Now().After(c.deadline) {
@@ -516,54 +486,31 @@ func (c *Campaign) runTrial(i int, w *world) trialStatus {
 
 	seed := TrialSeed(cfg.BaseSeed, i)
 	arm := c.bandit.Select()
-	var (
-		recording *core.RecordingScheduler
-		rec       *sched.Recorder
-		tracker   *oracle.Tracker
-		reg       *metrics.Registry
-		runCfg    bugs.RunConfig
-	)
-	if w != nil {
-		if w.inner == nil {
-			w.inner = core.NewScheduler(cfg.Arms[arm].Params, seed)
-			w.recording = core.NewRecording(w.inner)
-			w.rec = sched.NewRecorder()
-			if cfg.Oracle {
-				w.tracker = oracle.New()
-			}
-			if w.arena == nil {
-				w.arena = bugs.NewArena(cfg.Metrics != nil)
-			}
-		} else {
-			w.inner.Reseed(cfg.Arms[arm].Params, seed)
-			w.recording.Reset()
-			w.rec.Reset()
-			if w.tracker != nil {
-				w.tracker.Reset()
-			}
-		}
-		recording, rec, tracker = w.recording, w.rec, w.tracker
-		rc := bugs.RunConfig{Seed: seed, Scheduler: recording, Recorder: rec, Oracle: tracker}
-		if cfg.Metrics != nil {
-			rc.LagProbeEvery = 2 * time.Millisecond
-		}
-		runCfg = w.arena.Begin(rc)
-		reg = w.arena.Registry()
-	} else {
-		inner := core.NewScheduler(cfg.Arms[arm].Params, seed)
-		recording = core.NewRecording(inner)
-		rec = sched.NewRecorder()
-		runCfg = bugs.RunConfig{Seed: seed, Scheduler: recording, Recorder: rec, Clock: trialClock(cfg.VirtualTime)}
+	if w.inner == nil {
+		w.inner = core.NewScheduler(cfg.Arms[arm].Params, seed)
+		w.recording = core.NewRecording(w.inner)
+		w.rec = sched.NewRecorder()
 		if cfg.Oracle {
-			tracker = oracle.New()
-			runCfg.Oracle = tracker
+			w.tracker = oracle.New()
 		}
-		if cfg.Metrics != nil {
-			reg = metrics.NewRegistry()
-			runCfg.Metrics = reg
-			runCfg.LagProbeEvery = 2 * time.Millisecond
+		if w.arena == nil {
+			w.arena = bugs.NewArena(cfg.Metrics != nil)
+		}
+	} else {
+		w.inner.Reseed(cfg.Arms[arm].Params, seed)
+		w.recording.Reset()
+		w.rec.Reset()
+		if w.tracker != nil {
+			w.tracker.Reset()
 		}
 	}
+	recording, rec, tracker := w.recording, w.rec, w.tracker
+	rc := bugs.RunConfig{Seed: seed, Scheduler: recording, Recorder: rec, Oracle: tracker}
+	if cfg.Metrics != nil {
+		rc.LagProbeEvery = 2 * time.Millisecond
+	}
+	runCfg := w.arena.Begin(rc)
+	reg := w.arena.Registry()
 
 	start := time.Now()
 	out, trialErr := runSafely(c.run, runCfg)
@@ -576,10 +523,8 @@ func (c *Campaign) runTrial(i int, w *world) trialStatus {
 		// also leaves a reusable world in an unknown state, so the arena
 		// and its collaborators are discarded; the worker's next trial
 		// rebuilds from scratch.
-		if w != nil {
-			w.arena.Discard()
-			w.inner, w.recording, w.rec, w.tracker = nil, nil, nil, nil
-		}
+		w.arena.Discard()
+		w.inner, w.recording, w.rec, w.tracker = nil, nil, nil, nil
 		c.bandit.Release(arm)
 		c.mu.Lock()
 		c.res.Errored++

@@ -6,10 +6,11 @@
 // it left off.
 //
 // Node.fz §6 points at guided exploration beyond blind randomized fuzzing;
-// the campaign layer supplies the fleet-level half of that: each trial still
-// owns its own event loop, network, and scheduler (trials are embarrassingly
-// parallel), while the campaign decides *which* parameterization each trial
-// runs under and remembers *which* schedules have already been seen.
+// the campaign layer supplies the fleet-level half of that: each executor
+// worker owns its own trial world — event loop, network, scheduler, virtual
+// clock — reset between its trials (trials are embarrassingly parallel),
+// while the campaign decides *which* parameterization each trial runs under
+// and remembers *which* schedules have already been seen.
 package campaign
 
 import (

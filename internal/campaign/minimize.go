@@ -110,9 +110,11 @@ func neutralized(t *core.Trace, keep map[PerturbPoint]bool) *core.Trace {
 // Replays run with core.NewReplay over the no-fuzz scheduler, so decisions
 // beyond the trace fall back to vanilla-equivalent behaviour instead of
 // fresh randomness. seed is the manifesting trial's seed (the substrates
-// draw their latencies from it). Because replay fidelity is best-effort,
-// each probe is a single execution and the result is a *small* manifesting
-// set, not a proven-minimal one.
+// draw their latencies from it). Each replay's RunConfig carries no clock:
+// run supplies it, as a campaign's run wrapper supplies a fresh virtual
+// clock. Because replay fidelity is best-effort, each probe is a single
+// execution and the result is a *small* manifesting set, not a
+// proven-minimal one.
 func MinimizeTrace(run func(bugs.RunConfig) bugs.Outcome, seed int64, trace *core.Trace, maxReplays int) MinimizeResult {
 	if maxReplays <= 0 {
 		maxReplays = DefaultMinimizeBudget
@@ -130,7 +132,7 @@ func MinimizeTrace(run func(bugs.RunConfig) bugs.Outcome, seed int64, trace *cor
 			keep[p] = true
 		}
 		s := core.NewReplay(neutralized(trace, keep), core.NewNoFuzzScheduler())
-		out := run(bugs.RunConfig{Seed: seed, Scheduler: eventloop.Scheduler(s), Clock: bugs.TrialClock()})
+		out := run(bugs.RunConfig{Seed: seed, Scheduler: eventloop.Scheduler(s)})
 		return out.Manifested
 	}
 

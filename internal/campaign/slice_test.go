@@ -16,7 +16,6 @@ func sliceTestConfig(trials int) Config {
 		Trials:         trials,
 		Workers:        1,
 		BaseSeed:       1234,
-		VirtualTime:    true,
 		Oracle:         true,
 		Coverage:       true,
 		MinimizeTrials: -1,

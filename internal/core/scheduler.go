@@ -32,14 +32,6 @@ type Scheduler struct {
 	mu  sync.Mutex
 	rng *rand.Rand
 
-	// ShuffleReady scratch, guarded by mu. The returned run/deferred slices
-	// alias these buffers and are only valid until the next ShuffleReady
-	// call — the event loop consumes them within the poll phase that asked.
-	shufScratch []*eventloop.Event
-	remScratch  []*eventloop.Event
-	runScratch  []*eventloop.Event
-	defScratch  []*eventloop.Event
-
 	dec decisions // lock-free decision counters, read via Decisions
 }
 
@@ -88,12 +80,6 @@ func (s *Scheduler) Reseed(params Params, seed int64) {
 	s.mu.Lock()
 	s.params = params
 	s.rng.Seed(seed)
-	// Drop stale event pointers so a finished trial's events don't outlive
-	// it through the scratch backing arrays.
-	clear(s.shufScratch[:cap(s.shufScratch)])
-	clear(s.remScratch[:cap(s.remScratch)])
-	clear(s.runScratch[:cap(s.runScratch)])
-	clear(s.defScratch[:cap(s.defScratch)])
 	s.mu.Unlock()
 	s.dec.reset()
 }
@@ -159,55 +145,49 @@ func (s *Scheduler) FilterTimers(due int) (int, time.Duration) {
 // with a sliding window of width EpollDoF+1 (unlimited DoF degenerates to a
 // uniform shuffle), so no descriptor is pulled forward by more than the
 // shuffle distance; each event is then deferred to the next iteration with
-// probability EpollDeferralPct.
-func (s *Scheduler) ShuffleReady(ready []*eventloop.Event) (run, deferred []*eventloop.Event) {
+// probability EpollDeferralPct. The shuffle runs in place in the caller's
+// run buffer, so the scheduler keeps no event memory between calls.
+func (s *Scheduler) ShuffleReady(ready, run, deferred []*eventloop.Event) ([]*eventloop.Event, []*eventloop.Event) {
 	n := len(ready)
 	if n == 0 {
-		return nil, nil
+		return run, deferred
 	}
+	base := len(run)
+	run = append(run, ready...)
+	out := run[base:]
+	deferredBefore := len(deferred)
 	s.mu.Lock()
-	remaining := append(s.remScratch[:0], ready...)
-	s.remScratch = remaining
-	var shuffled []*eventloop.Event
 	if s.params.EpollDoF != 0 {
-		shuffled = s.shufScratch[:0]
-		for len(remaining) > 0 {
-			w := len(remaining)
+		// out[:k] is the shuffled prefix and out[k:] the remaining events in
+		// arrival order; each step moves one of the first w remaining events
+		// to the front of the remainder.
+		for k := 0; k < n; k++ {
+			w := n - k
 			if s.params.EpollDoF > 0 && s.params.EpollDoF+1 < w {
 				w = s.params.EpollDoF + 1
 			}
-			i := s.rng.Intn(w)
-			shuffled = append(shuffled, remaining[i])
-			remaining = append(remaining[:i], remaining[i+1:]...)
+			if i := s.rng.Intn(w); i > 0 {
+				ev := out[k+i]
+				copy(out[k+1:k+i+1], out[k:k+i])
+				out[k] = ev
+			}
 		}
-		s.shufScratch = shuffled
-	} else {
-		shuffled = remaining
 	}
-	run = s.runScratch[:0]
-	deferredScratch := s.defScratch[:0]
 	pct := s.params.EpollDeferralPct
-	for _, ev := range shuffled {
-		deferThis := false
+	kept := 0
+	for _, ev := range out {
 		if pct > 0 && (pct >= 100 || s.rng.Intn(100) < pct) {
-			deferThis = true
-		}
-		if deferThis {
-			deferredScratch = append(deferredScratch, ev)
+			deferred = append(deferred, ev)
 		} else {
-			run = append(run, ev)
+			out[kept] = ev
+			kept++
 		}
-	}
-	s.runScratch = run
-	s.defScratch = deferredScratch
-	if len(deferredScratch) > 0 {
-		deferred = deferredScratch
 	}
 	s.mu.Unlock()
 	s.dec.shuffleCalls.Add(1)
 	s.dec.eventsShuffled.Add(int64(n))
-	s.dec.eventsDeferred.Add(int64(len(deferred)))
-	return run, deferred
+	s.dec.eventsDeferred.Add(int64(len(deferred) - deferredBefore))
+	return run[:base+kept], deferred
 }
 
 // DeferClose implements eventloop.Scheduler.

@@ -3,11 +3,14 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"nodefz/internal/eventloop"
+	"nodefz/internal/frand"
 )
 
 func TestStandardParamsMatchTable3(t *testing.T) {
@@ -101,7 +104,7 @@ func TestShuffleReadyIsPermutation(t *testing.T) {
 	f := func(n uint8, seed int64) bool {
 		s := NewScheduler(StandardParams(), seed)
 		evs := mkEvents(int(n % 64))
-		run, deferred := s.ShuffleReady(evs)
+		run, deferred := s.ShuffleReady(evs, nil, nil)
 		if len(run)+len(deferred) != len(evs) {
 			return false
 		}
@@ -127,6 +130,112 @@ func TestShuffleReadyIsPermutation(t *testing.T) {
 	}
 }
 
+// TestShuffleReadyResultSurvivesNextCall: one scheduler serves every node
+// loop of a cluster trial, so one loop may still be executing its run list
+// when another loop's poll calls ShuffleReady. The first call's result must
+// come through the second untouched, and under wall time the loops call it
+// concurrently (the CI race run checks that part for data races).
+func TestShuffleReadyResultSurvivesNextCall(t *testing.T) {
+	s := NewScheduler(StandardParams(), 7)
+	first, second := mkEvents(8), mkEvents(8)
+	run, deferred := s.ShuffleReady(first, nil, nil)
+	want := labels(run) + " | " + labels(deferred)
+	s.ShuffleReady(second, nil, nil)
+	if got := labels(run) + " | " + labels(deferred); got != want {
+		t.Fatalf("a second ShuffleReady call rewrote the first call's result: %s, was %s", got, want)
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			ready := mkEvents(6 + g)
+			var run, deferred []*eventloop.Event
+			for i := 0; i < 200; i++ {
+				run, deferred = s.ShuffleReady(ready, run[:0], deferred[:0])
+				if len(run)+len(deferred) != len(ready) {
+					t.Errorf("goroutine %d: %d+%d events back for %d", g, len(run), len(deferred), len(ready))
+					return
+				}
+				seen := make(map[*eventloop.Event]bool, len(ready))
+				for _, e := range append(append([]*eventloop.Event(nil), run...), deferred...) {
+					seen[e] = true
+				}
+				for _, e := range ready {
+					if !seen[e] {
+						t.Errorf("goroutine %d: event %s lost from its own result", g, e.Label)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// labels renders an event list by label, in order.
+func labels(evs []*eventloop.Event) string {
+	out := make([]string, len(evs))
+	for i, e := range evs {
+		out[i] = e.Label
+	}
+	return strings.Join(out, " ")
+}
+
+// refShuffle is the sliding-window shuffle in its plain form: repeatedly
+// take one of the first EpollDoF+1 remaining events out of the remainder,
+// then defer each event with probability EpollDeferralPct.
+func refShuffle(p Params, rng *rand.Rand, ready []*eventloop.Event) (run, deferred []*eventloop.Event) {
+	remaining := append([]*eventloop.Event(nil), ready...)
+	shuffled := remaining
+	if p.EpollDoF != 0 {
+		shuffled = nil
+		for len(remaining) > 0 {
+			w := len(remaining)
+			if p.EpollDoF > 0 && p.EpollDoF+1 < w {
+				w = p.EpollDoF + 1
+			}
+			i := rng.Intn(w)
+			shuffled = append(shuffled, remaining[i])
+			remaining = append(remaining[:i], remaining[i+1:]...)
+		}
+	}
+	for _, ev := range shuffled {
+		if p.EpollDeferralPct > 0 && (p.EpollDeferralPct >= 100 || rng.Intn(100) < p.EpollDeferralPct) {
+			deferred = append(deferred, ev)
+		} else {
+			run = append(run, ev)
+		}
+	}
+	return run, deferred
+}
+
+// TestShuffleReadyMatchesReference pins the in-place shuffle to the plain
+// algorithm, decision for decision: same run order, same deferrals, and the
+// same random draws, so every recorded schedule stays what it was.
+func TestShuffleReadyMatchesReference(t *testing.T) {
+	windowed := StandardParams()
+	windowed.EpollDoF = 2
+	windowed.EpollDeferralPct = 30
+	for _, p := range []Params{StandardParams(), windowed, NoFuzzParams()} {
+		for seed := int64(1); seed <= 50; seed++ {
+			s := newNamed("test", p, seed)
+			ref := frand.New(seed)
+			var run, deferred []*eventloop.Event
+			for round := 0; round < 5; round++ {
+				evs := mkEvents(int(seed+int64(round)) % 12)
+				run, deferred = s.ShuffleReady(evs, run[:0], deferred[:0])
+				wantRun, wantDeferred := refShuffle(p, ref, evs)
+				got, want := labels(run)+" | "+labels(deferred), labels(wantRun)+" | "+labels(wantDeferred)
+				if got != want {
+					t.Fatalf("DoF %d seed %d round %d: got %s, want %s", p.EpollDoF, seed, round, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestShuffleRespectsDoFWindow(t *testing.T) {
 	// With DoF d and no deferral, an event cannot appear more than d
 	// positions earlier than arrival: output position k draws only from the
@@ -141,7 +250,7 @@ func TestShuffleRespectsDoFWindow(t *testing.T) {
 		for i, e := range evs {
 			pos[e] = i
 		}
-		run, deferred := s.ShuffleReady(evs)
+		run, deferred := s.ShuffleReady(evs, nil, nil)
 		if len(deferred) != 0 {
 			t.Fatal("deferred with 0% deferral")
 		}
@@ -157,7 +266,7 @@ func TestShuffleDoFZeroPreservesOrder(t *testing.T) {
 	p := NoFuzzParams() // DoF 0, no deferral
 	s := newNamed("test", p, 42)
 	evs := mkEvents(10)
-	run, deferred := s.ShuffleReady(evs)
+	run, deferred := s.ShuffleReady(evs, nil, nil)
 	if len(deferred) != 0 || len(run) != 10 {
 		t.Fatalf("run=%d deferred=%d", len(run), len(deferred))
 	}
@@ -172,7 +281,7 @@ func TestShuffleFullDeferral(t *testing.T) {
 	p := StandardParams()
 	p.EpollDeferralPct = 100
 	s := newNamed("test", p, 1)
-	run, deferred := s.ShuffleReady(mkEvents(5))
+	run, deferred := s.ShuffleReady(mkEvents(5), nil, nil)
 	if len(run) != 0 || len(deferred) != 5 {
 		t.Fatalf("run=%d deferred=%d, want 0/5", len(run), len(deferred))
 	}
@@ -180,7 +289,7 @@ func TestShuffleFullDeferral(t *testing.T) {
 
 func TestShuffleEmpty(t *testing.T) {
 	s := NewScheduler(StandardParams(), 1)
-	run, deferred := s.ShuffleReady(nil)
+	run, deferred := s.ShuffleReady(nil, nil, nil)
 	if run != nil || deferred != nil {
 		t.Fatal("non-nil result for empty ready list")
 	}

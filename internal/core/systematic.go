@@ -90,15 +90,12 @@ func (s *SystematicScheduler) FilterTimers(due int) (int, time.Duration) {
 }
 
 // ShuffleReady implements eventloop.Scheduler.
-func (s *SystematicScheduler) ShuffleReady(ready []*eventloop.Event) (run, deferred []*eventloop.Event) {
-	if len(ready) < 2 {
-		return ready, nil
-	}
-	if s.take() {
+func (s *SystematicScheduler) ShuffleReady(ready, run, deferred []*eventloop.Event) ([]*eventloop.Event, []*eventloop.Event) {
+	if len(ready) >= 2 && s.take() {
 		// Rotate: run the tail first, defer the previous head one round.
-		return ready[1:], ready[:1]
+		return append(run, ready[1:]...), append(deferred, ready[0])
 	}
-	return ready, nil
+	return append(run, ready...), deferred
 }
 
 // DeferClose implements eventloop.Scheduler.

@@ -13,7 +13,7 @@ func TestSystematicNoDelaysIsNoFuzz(t *testing.T) {
 		t.Fatalf("FilterTimers = (%d, %v)", run, delay)
 	}
 	evs := mkEvents(3)
-	run, deferred := s.ShuffleReady(evs)
+	run, deferred := s.ShuffleReady(evs, nil, nil)
 	if len(run) != 3 || len(deferred) != 0 {
 		t.Fatal("shuffle perturbed without delays")
 	}
@@ -35,13 +35,13 @@ func TestSystematicNoDelaysIsNoFuzz(t *testing.T) {
 
 func TestSystematicCountsDecisionPoints(t *testing.T) {
 	s := NewSystematic(nil)
-	s.FilterTimers(2)           // point 0
-	s.FilterTimers(0)           // not a point (nothing due)
-	s.ShuffleReady(mkEvents(3)) // point 1
-	s.ShuffleReady(mkEvents(1)) // not a point (single event)
-	s.DeferClose("h")           // point 2
-	s.PickTask(4)               // point 3
-	s.PickTask(1)               // not a point
+	s.FilterTimers(2)                     // point 0
+	s.FilterTimers(0)                     // not a point (nothing due)
+	s.ShuffleReady(mkEvents(3), nil, nil) // point 1
+	s.ShuffleReady(mkEvents(1), nil, nil) // not a point (single event)
+	s.DeferClose("h")                     // point 2
+	s.PickTask(4)                         // point 3
+	s.PickTask(1)                         // not a point
 	if got := s.Points(); got != 4 {
 		t.Fatalf("Points = %d, want 4", got)
 	}
@@ -60,12 +60,12 @@ func TestSystematicPerturbsExactlyAtDelayPoints(t *testing.T) {
 	}
 	// Point 2: no perturbation.
 	evs := mkEvents(3)
-	r, d := s.ShuffleReady(evs)
+	r, d := s.ShuffleReady(evs, nil, nil)
 	if len(r) != 3 || len(d) != 0 {
 		t.Fatal("point 2 perturbed")
 	}
 	// Point 3: perturb (rotate + defer head).
-	r, d = s.ShuffleReady(evs)
+	r, d = s.ShuffleReady(evs, nil, nil)
 	if len(r) != 2 || len(d) != 1 || d[0] != evs[0] {
 		t.Fatalf("point 3: run=%d deferred=%d", len(r), len(d))
 	}

@@ -253,8 +253,8 @@ func (r *RecordingScheduler) FilterTimers(due int) (int, time.Duration) {
 // ShuffleReady implements eventloop.Scheduler. The ready lists are small
 // (a poll batch), so positions are recovered by linear scan instead of a
 // per-call map, and the index lists append into the shared flat buffer.
-func (r *RecordingScheduler) ShuffleReady(ready []*eventloop.Event) (run, deferred []*eventloop.Event) {
-	run, deferred = r.inner.ShuffleReady(ready)
+func (r *RecordingScheduler) ShuffleReady(ready, run, deferred []*eventloop.Event) ([]*eventloop.Event, []*eventloop.Event) {
+	run, deferred = r.inner.ShuffleReady(ready, run, deferred)
 	r.mu.Lock()
 	d := ShuffleDecision{N: len(ready)}
 	d.RunOrder = r.appendIndices(ready, run)
@@ -400,18 +400,16 @@ func (r *ReplayScheduler) FilterTimers(due int) (int, time.Duration) {
 }
 
 // ShuffleReady implements eventloop.Scheduler.
-func (r *ReplayScheduler) ShuffleReady(ready []*eventloop.Event) ([]*eventloop.Event, []*eventloop.Event) {
+func (r *ReplayScheduler) ShuffleReady(ready, run, deferred []*eventloop.Event) ([]*eventloop.Event, []*eventloop.Event) {
 	r.mu.Lock()
 	for r.si < len(r.trace.Shuffle) {
 		d := r.trace.Shuffle[r.si]
 		r.si++
 		if d.N == len(ready) {
 			r.mu.Unlock()
-			run := make([]*eventloop.Event, 0, len(d.RunOrder))
 			for _, i := range d.RunOrder {
 				run = append(run, ready[i])
 			}
-			deferred := make([]*eventloop.Event, 0, len(d.Deferred))
 			for _, i := range d.Deferred {
 				deferred = append(deferred, ready[i])
 			}
@@ -421,7 +419,7 @@ func (r *ReplayScheduler) ShuffleReady(ready []*eventloop.Event) ([]*eventloop.E
 	}
 	r.misses++
 	r.mu.Unlock()
-	return r.base.ShuffleReady(ready)
+	return r.base.ShuffleReady(ready, run, deferred)
 }
 
 // DeferClose implements eventloop.Scheduler.

@@ -17,7 +17,7 @@ func TestRecordingCapturesDecisions(t *testing.T) {
 		t.Error("architecture flags not forwarded")
 	}
 	evs := mkEvents(6)
-	run, deferred := rec.ShuffleReady(evs)
+	run, deferred := rec.ShuffleReady(evs, nil, nil)
 	rec.FilterTimers(3)
 	rec.DeferClose("h")
 	rec.PickTask(4)
@@ -45,13 +45,13 @@ func TestRecordingCapturesDecisions(t *testing.T) {
 func TestReplayReproducesDecisions(t *testing.T) {
 	recorded := NewRecording(NewScheduler(StandardParams(), 42))
 	evs := mkEvents(8)
-	wantRun, wantDeferred := recorded.ShuffleReady(evs)
+	wantRun, wantDeferred := recorded.ShuffleReady(evs, nil, nil)
 	wantTimerRun, wantDelay := recorded.FilterTimers(5)
 	wantClose := recorded.DeferClose("x")
 	wantPick := recorded.PickTask(6)
 
 	rep := NewReplay(recorded.Trace(), NewScheduler(StandardParams(), 999))
-	gotRun, gotDeferred := rep.ShuffleReady(evs)
+	gotRun, gotDeferred := rep.ShuffleReady(evs, nil, nil)
 	if len(gotRun) != len(wantRun) || len(gotDeferred) != len(wantDeferred) {
 		t.Fatal("replayed shuffle shape differs")
 	}
@@ -97,7 +97,7 @@ func TestReplayFallsBackOnMismatch(t *testing.T) {
 	if rep.DeferClose("h") {
 		t.Fatal("fallback close deferred under no-fuzz base")
 	}
-	r, d := rep.ShuffleReady(mkEvents(2))
+	r, d := rep.ShuffleReady(mkEvents(2), nil, nil)
 	if len(r) != 2 || len(d) != 0 {
 		t.Fatal("fallback shuffle wrong")
 	}

@@ -86,7 +86,10 @@ outer:
 		}
 	}
 
-	// Step 3: FIFO among deferred events.
-	sort.SliceStable(deferred, func(a, b int) bool { return pos[deferred[a]] < pos[deferred[b]] })
+	// Step 3: FIFO among deferred events. A list of fewer than two needs no
+	// sort, and skipping it spares boxing the slice for sort's interface.
+	if len(deferred) > 1 {
+		sort.SliceStable(deferred, func(a, b int) bool { return pos[deferred[a]] < pos[deferred[b]] })
+	}
 	return keep, deferred
 }

@@ -146,7 +146,13 @@ type Loop struct {
 	running      bool
 	dueScratch   []*Timer // runTimers batch
 	readyScratch []*Event // poll batch
+	runScratch   []*Event // poll batch's run list (ShuffleReady's output)
+	defScratch   []*Event // poll batch's deferred list (ShuffleReady's output)
 	pendScratch  []*Event // pending-phase batch
+	// Initial backing arrays of runScratch and defScratch: a loop built per
+	// trial (single-shot runs, every cluster node) polls small batches, so
+	// these keep its ShuffleReady output off the heap.
+	runInline, defInline [8]*Event
 
 	phaseHandles map[PhaseKind][]*PhaseHandle
 
@@ -237,6 +243,7 @@ func New(opts Options) *Loop {
 		phaseHandles: make(map[PhaseKind][]*PhaseHandle),
 		reg:          opts.Metrics,
 	}
+	l.runScratch, l.defScratch = l.runInline[:0], l.defInline[:0]
 	// The loop registers as a clock participant before the pool spawns its
 	// workers: as the first registrant it takes the virtual run token, so
 	// pre-Run setup (registering timers from the caller's goroutine, which
@@ -860,7 +867,8 @@ func (l *Loop) poll() {
 		return
 	}
 
-	run, deferred := l.sched.ShuffleReady(ready)
+	run, deferred := l.sched.ShuffleReady(ready, l.runScratch[:0], l.defScratch[:0])
+	l.runScratch, l.defScratch = run[:0], deferred[:0]
 	if len(run)+len(deferred) != len(ready) {
 		panic(fmt.Sprintf("eventloop: scheduler %s lost events: %d+%d != %d",
 			l.sched.Name(), len(run), len(deferred), len(ready)))

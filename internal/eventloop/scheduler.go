@@ -34,7 +34,9 @@ type Event struct {
 //
 // Hooks may be called from the loop goroutine (FilterTimers, ShuffleReady,
 // DeferClose) and from worker-pool goroutines (PickTask, WaitPolicy);
-// implementations must be safe for that.
+// implementations must be safe for that. One scheduler may also serve
+// several loops at once: every node loop of a cluster trial shares the
+// trial's scheduler.
 type Scheduler interface {
 	// Name identifies the scheduler in reports ("nodeV", "nodeFZ", ...).
 	Name() string
@@ -60,11 +62,18 @@ type Scheduler interface {
 	// sleeps for delay before continuing.
 	FilterTimers(due int) (run int, delay time.Duration)
 
-	// ShuffleReady receives the ready event list and splits it into the
-	// events to run this iteration (in execution order) and the events to
-	// defer to the next iteration. The union of the returned slices must be
-	// a permutation of ready.
-	ShuffleReady(ready []*Event) (run, deferred []*Event)
+	// ShuffleReady splits the ready event list into the events to run this
+	// iteration (in execution order) and the events to defer to the next
+	// iteration, appending them to run and deferred and returning the
+	// extended slices. Their union must be a permutation of ready.
+	//
+	// The loop owns all three slices: run and deferred are its own empty
+	// buffers, and ready must not be modified (the loop's legality pass
+	// reads arrival order from it). A scheduler must not return memory it
+	// keeps: it may serve several loops, and a result in its own scratch
+	// would be overwritten by another loop's call while the first loop is
+	// still executing it.
+	ShuffleReady(ready, run, deferred []*Event) ([]*Event, []*Event)
 
 	// DeferClose reports whether the close callback for the named handle
 	// should be deferred until the next loop iteration.

@@ -31,8 +31,8 @@ func (VanillaScheduler) PoolSize(requested int) int { return requested }
 func (VanillaScheduler) FilterTimers(due int) (int, time.Duration) { return due, 0 }
 
 // ShuffleReady implements Scheduler: arrival order, nothing deferred.
-func (VanillaScheduler) ShuffleReady(ready []*Event) (run, deferred []*Event) {
-	return ready, nil
+func (VanillaScheduler) ShuffleReady(ready, run, deferred []*Event) ([]*Event, []*Event) {
+	return append(run, ready...), deferred
 }
 
 // DeferClose implements Scheduler.

@@ -14,8 +14,9 @@
 // campaign that stops yielding sees its estimate collapse toward zero
 // within a few slices and its workers flow to targets that still produce.
 //
-// Everything is deterministic given the base seed when children run under
-// virtual time with one worker: allocation decisions use a stateless
+// Everything is deterministic given the base seed when children run with
+// one worker (campaign trials always run in virtual time): allocation
+// decisions use a stateless
 // splitmix-derived RNG keyed by (seed, decision index), trial seeds are
 // positional, and slice yields are pure functions of the trial range — so
 // a fleet killed at any instant and resumed from its journals converges to
@@ -111,12 +112,10 @@ type Config struct {
 	// their first manifestation.
 	ManifestDiscount float64
 
-	// VirtualTime / Oracle / Coverage / NoArena are passed through to every
-	// child campaign (see campaign.Config).
-	VirtualTime bool
-	Oracle      bool
-	Coverage    bool
-	NoArena     bool
+	// Oracle / Coverage are passed through to every child campaign (see
+	// campaign.Config).
+	Oracle   bool
+	Coverage bool
 
 	// Dir, when set, enables checkpointing: the fleet journal lives at
 	// <Dir>/fleet.jsonl and each child campaign journals to
@@ -244,15 +243,13 @@ func New(cfg Config) (*Fleet, error) {
 			return nil, fmt.Errorf("fleet: duplicate campaign %s", spec.App.Abbr)
 		}
 		ccfg := campaign.Config{
-			App:         spec.App,
-			Fixed:       spec.Fixed,
-			Trials:      cfg.CampaignTrials,
-			Workers:     cfg.Workers,
-			BaseSeed:    campaign.TrialSeed(cfg.BaseSeed^fleetSeedSalt, i),
-			VirtualTime: cfg.VirtualTime,
-			Oracle:      cfg.Oracle,
-			Coverage:    cfg.Coverage,
-			NoArena:     cfg.NoArena,
+			App:      spec.App,
+			Fixed:    spec.Fixed,
+			Trials:   cfg.CampaignTrials,
+			Workers:  cfg.Workers,
+			BaseSeed: campaign.TrialSeed(cfg.BaseSeed^fleetSeedSalt, i),
+			Oracle:   cfg.Oracle,
+			Coverage: cfg.Coverage,
 			// The fleet optimizes for discovery throughput; delta-debugging
 			// manifesting trials is a post-campaign activity.
 			MinimizeTrials: -1,

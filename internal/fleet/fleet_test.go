@@ -41,7 +41,6 @@ func TestFleetDeterministicPerSeed(t *testing.T) {
 			GlobalTrials: 60,
 			SliceTrials:  5,
 			BaseSeed:     42,
-			VirtualTime:  true,
 			Oracle:       true,
 			Coverage:     true,
 			Progress:     func(r SliceRecord) { recs = append(recs, r) },
@@ -80,7 +79,6 @@ func TestFleetBudgetAccounting(t *testing.T) {
 		CampaignTrials: 20,
 		SliceTrials:    5,
 		BaseSeed:       3,
-		VirtualTime:    true,
 	}
 	res, err := Run(cfg)
 	if err != nil {
@@ -118,7 +116,6 @@ func TestFleetRoundRobinCycles(t *testing.T) {
 		SliceTrials:  5,
 		BaseSeed:     9,
 		Policy:       PolicyRoundRobin,
-		VirtualTime:  true,
 		Progress:     func(r SliceRecord) { order = append(order, r.App) },
 	}
 	if _, err := Run(cfg); err != nil {
@@ -145,7 +142,6 @@ func TestFleetExhaustedTargetReleasesWorkers(t *testing.T) {
 		CampaignTrials: 20,
 		SliceTrials:    5,
 		BaseSeed:       5,
-		VirtualTime:    true,
 		Oracle:         true,
 	}
 	res, err := Run(cfg)
@@ -173,7 +169,6 @@ func manifestedVariants(t *testing.T, policy Policy, seed int64, budget, slice i
 		SliceTrials:  slice,
 		BaseSeed:     seed,
 		Policy:       policy,
-		VirtualTime:  true,
 		Oracle:       true,
 		Coverage:     true,
 	})

@@ -47,7 +47,6 @@ func fleetCfg(t *testing.T, dir string) Config {
 		GlobalTrials: 120,
 		SliceTrials:  5,
 		BaseSeed:     11,
-		VirtualTime:  true,
 		Oracle:       true,
 		Coverage:     true,
 		Dir:          dir,
@@ -204,7 +203,6 @@ func TestFleetJournalRejectsUnknownCampaign(t *testing.T) {
 		GlobalTrials: 120,
 		SliceTrials:  5,
 		BaseSeed:     11,
-		VirtualTime:  true,
 		Dir:          dir,
 		Resume:       true,
 	}

@@ -61,7 +61,7 @@ func firstManifest(t *testing.T, app *bugs.App, baseSeed int64, coverage bool, b
 	first := budget
 	_, err := campaign.Run(campaign.Config{
 		App: app, Trials: budget, Workers: 1, BaseSeed: baseSeed,
-		VirtualTime: true, Coverage: coverage, MinimizeTrials: -1,
+		Coverage: coverage, MinimizeTrials: -1,
 		Progress: func(e campaign.TrialEntry) {
 			if e.Manifested && e.Trial < first {
 				first = e.Trial

@@ -22,7 +22,7 @@ func driveScheduler(s eventloop.Scheduler) (*core.Trace, core.DecisionCounters) 
 		for i := range ready {
 			ready[i] = &eventloop.Event{Kind: "net-read", Label: fmt.Sprintf("c%d", i)}
 		}
-		rec.ShuffleReady(ready)
+		rec.ShuffleReady(ready, nil, nil)
 		rec.DeferClose(fmt.Sprintf("h%d", round%4))
 		rec.PickTask(round%5 + 1)
 	}

@@ -130,11 +130,8 @@ func TestWallModeRegression(t *testing.T) {
 	if _, ok := (bugs.RunConfig{}).NewLoop().Clock().(vclock.Wall); !ok {
 		t.Fatal("nil RunConfig.Clock must yield a wall clock")
 	}
-	if bugs.VirtualTimeEnabled() {
-		t.Fatal("virtual time must default to off")
-	}
 	if c := bugs.TrialClock(); c != nil {
-		t.Fatalf("TrialClock with virtual time off = %T, want nil (wall)", c)
+		t.Fatalf("TrialClock must default to nil (wall), got %T", c)
 	}
 
 	app := bugs.ByAbbr("SIO")

@@ -3,7 +3,6 @@ package simnet
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -30,16 +29,25 @@ func partitionPair(seed int64) (lc, ls *eventloop.Loop, net *Network) {
 	return
 }
 
+// runBoth runs both loops to completion under the clock's grant protocol,
+// as a cluster trial runs its node loops. The caller holds the run token
+// from setup: b enters the run order through Loop.Go's grant, and a runs on
+// a goroutine that inherits the token, then waits clock-blocked for b to
+// drain, as cluster.Join does.
 func runBoth(t *testing.T, a, b *eventloop.Loop) {
 	t.Helper()
-	var wg sync.WaitGroup
 	errs := make(chan error, 2)
-	for _, l := range []*eventloop.Loop{a, b} {
-		wg.Add(1)
-		go func(l *eventloop.Loop) { defer wg.Done(); errs <- l.Run() }(l)
-	}
+	bDone := make(chan struct{})
+	b.Go(func(err error) { errs <- err; close(bDone) })
 	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
+	go func() {
+		defer close(done)
+		errs <- a.Run()
+		clk := a.Clock()
+		clk.Block()
+		<-bDone
+		clk.UnblockKeep()
+	}()
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
