@@ -249,23 +249,64 @@ func (s *JournalState) Watermark() int {
 // file is an error, because records after it may silently be lost.
 func LoadJournal(path string) (*JournalState, error) {
 	st := &JournalState{Trials: make(map[int]TrialEntry)}
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return st, nil
-	}
+	torn, err := ScanJournal(path, "campaign", func(typ string, line []byte) (bool, error) {
+		switch typ {
+		case "trial":
+			var e TrialEntry
+			if err := json.Unmarshal(line, &e); err != nil {
+				return true, err
+			}
+			st.Trials[e.Trial] = e
+		case "minimized":
+			var e MinimizedEntry
+			if err := json.Unmarshal(line, &e); err != nil {
+				return true, err
+			}
+			st.Minimized = append(st.Minimized, e)
+		case "coverage":
+			var e CoverageEntry
+			if err := json.Unmarshal(line, &e); err != nil {
+				return true, err
+			}
+			st.Coverage = append(st.Coverage, e)
+		case "checkpoint":
+			// Summaries are derivable from the trial records; skip.
+		default:
+			return false, nil
+		}
+		return true, nil
+	})
 	if err != nil {
 		return nil, err
+	}
+	st.TornTail = torn
+	return st, nil
+}
+
+// ScanJournal reads the JSONL journal at path — a campaign's or a fleet's —
+// one record at a time, tolerating a torn tail: record gets each non-blank
+// line with its "type" field and reports whether it knows the type and
+// whether the line failed to decode. A missing file is an empty journal. A
+// line that fails to parse is taken for the torn final line a killed writer
+// leaves behind (torn is then true); a malformed line with records after
+// it, or a record of unknown type, is an error, prefixed with owner.
+func ScanJournal(path, owner string, record func(typ string, line []byte) (known bool, err error)) (torn bool, err error) {
+	f, err := os.Open(path)
+	if os.IsNotExist(err) {
+		return false, nil
+	}
+	if err != nil {
+		return false, err
 	}
 	defer f.Close()
 
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<20), 16<<20)
 	lineNo := 0
-	sawTail := false
 	for sc.Scan() {
 		lineNo++
-		if sawTail {
-			return nil, fmt.Errorf("campaign: journal %s line %d: records after a malformed line", path, lineNo)
+		if torn {
+			return false, fmt.Errorf("%s: journal %s line %d: records after a malformed line", owner, path, lineNo)
 		}
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
@@ -275,45 +316,21 @@ func LoadJournal(path string) (*JournalState, error) {
 			Type string `json:"type"`
 		}
 		if err := json.Unmarshal(line, &kind); err != nil {
-			// Possibly the torn final line; flag it and fail only if more
-			// records follow.
-			sawTail = true
-			st.TornTail = true
+			// Possibly the torn final line; fail only if more records
+			// follow.
+			torn = true
 			continue
 		}
-		switch kind.Type {
-		case "trial":
-			var e TrialEntry
-			if err := json.Unmarshal(line, &e); err != nil {
-				sawTail = true
-				st.TornTail = true
-				continue
-			}
-			st.Trials[e.Trial] = e
-		case "minimized":
-			var e MinimizedEntry
-			if err := json.Unmarshal(line, &e); err != nil {
-				sawTail = true
-				st.TornTail = true
-				continue
-			}
-			st.Minimized = append(st.Minimized, e)
-		case "coverage":
-			var e CoverageEntry
-			if err := json.Unmarshal(line, &e); err != nil {
-				sawTail = true
-				st.TornTail = true
-				continue
-			}
-			st.Coverage = append(st.Coverage, e)
-		case "checkpoint":
-			// Summaries are derivable from the trial records; skip.
-		default:
-			return nil, fmt.Errorf("campaign: journal %s line %d: unknown record type %q", path, lineNo, kind.Type)
+		known, err := record(kind.Type, line)
+		if !known {
+			return false, fmt.Errorf("%s: journal %s line %d: unknown record type %q", owner, path, lineNo, kind.Type)
+		}
+		if err != nil {
+			torn = true
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return false, err
 	}
-	return st, nil
+	return torn, nil
 }

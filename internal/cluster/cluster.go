@@ -29,6 +29,7 @@ import (
 	"nodefz/internal/eventloop"
 	"nodefz/internal/simfs"
 	"nodefz/internal/simnet"
+	"nodefz/internal/vclock"
 )
 
 // Addr is the simnet address node id listens on.
@@ -122,8 +123,7 @@ func (c *Cluster) boot(nd *node) {
 		l.SetTimeoutNamed("watchdog", c.cfg.Watchdog, func() { l.Stop() }).Unref()
 	}
 	c.applyPartition()
-	c.wg.Add(1)
-	l.Go(func(error) { c.wg.Done() })
+	l.Go(&c.wg)
 }
 
 // Alive reports whether node id is currently running.
@@ -224,8 +224,5 @@ func (c *Cluster) Shutdown() {
 // while waiting so the remaining nodes can drain).
 func (c *Cluster) Join() {
 	c.Shutdown()
-	clk := c.nodes[0].loop.Clock()
-	clk.Block()
-	c.wg.Wait()
-	clk.UnblockKeep()
+	vclock.Join(c.nodes[0].loop.Clock(), &c.wg)
 }

@@ -111,7 +111,6 @@ type Loop struct {
 	rec   Recorder
 	clk   vclock.Clock
 	probe *oracle.Tracker
-	role  int // the loop's virtual-clock wake role
 	// lean is set when the caller supplied no metrics registry: nobody can
 	// read the private one New creates, so the per-phase wall-clock timing
 	// (two time.Now calls and a histogram update per phase, nine phases per
@@ -119,9 +118,11 @@ type Loop struct {
 	// foldStats gauges remain.
 	lean bool
 
-	mu          sync.Mutex
-	wake        chan wakeToken
-	pollBlocked bool        // loop is inside poll's blocking wait (guards wake-veto pairing)
+	mu sync.Mutex
+	// wake is the loop's poll wakeup. Only a token posted while the loop is
+	// inside poll's blocking wait carries a run grant (see wakeup).
+	wake        vclock.Wakeup
+	pollBlocked bool        // loop is inside poll's blocking wait; guarded by mu
 	pending     []*Event    // ready events (the "epoll results")
 	deferred    []*Event    // events the scheduler pushed to the next iteration
 	refs        int         // live handles + outstanding work
@@ -202,14 +203,6 @@ type closeReq struct {
 	oref  oracle.Ref
 }
 
-// wakeToken is one poll wakeup. vetoed records whether the sender paired it
-// with a virtual-clock run grant (it does so only when the loop is inside
-// poll's blocking wait); whoever drains the token outside that wait must
-// revoke the grant with Unwake.
-type wakeToken struct {
-	vetoed bool
-}
-
 type nopLocker struct{}
 
 func (nopLocker) Lock()   {}
@@ -239,18 +232,17 @@ func New(opts Options) *Loop {
 		clk:          opts.Clock,
 		probe:        opts.Probe,
 		lean:         lean,
-		wake:         make(chan wakeToken, 1),
 		phaseHandles: make(map[PhaseKind][]*PhaseHandle),
 		reg:          opts.Metrics,
 	}
 	l.runScratch, l.defScratch = l.runInline[:0], l.defInline[:0]
-	// The loop registers as a clock participant before the pool spawns its
-	// workers: as the first registrant it takes the virtual run token, so
-	// pre-Run setup (registering timers from the caller's goroutine, which
-	// becomes the loop goroutine) runs before any worker gets a turn and can
-	// never race a virtual advance.
-	l.clk.Register()
-	l.role = l.clk.AllocRole()
+	// The loop enters the clock before the pool spawns its workers: as the
+	// first participant it takes the virtual run token, so pre-Run setup
+	// (registering timers from the caller's goroutine, which becomes the
+	// loop goroutine) runs before any worker gets a turn and can never race
+	// a virtual advance.
+	l.wake.Init(l.clk, 0)
+	l.wake.Enter()
 	for p := 0; p < numPhases; p++ {
 		l.phaseCB[p] = l.reg.Counter("loop.phase." + phaseNames[p] + ".callbacks")
 		l.phaseNS[p] = l.reg.Histogram("loop.phase."+phaseNames[p]+".ns", metrics.DurationBounds())
@@ -382,28 +374,23 @@ func (l *Loop) Run() error {
 
 // Go runs the loop on its own goroutine — the spawn path for cluster nodes,
 // where several loops share one virtual clock and none of them may run on
-// the caller's goroutine. The grant protocol mirrors the worker pool and the
-// network engine: the caller (who, under a virtual clock, must currently
-// hold the run token — e.g. the main goroutine during setup, or a loop
-// callback spawning a node) issues the new loop a run grant *before* the
-// goroutine exists, fixing its place in the virtual run order; the goroutine
-// claims it with Start and releases the loop's clock registration (taken in
-// New) when Run returns. done (may be nil) runs on the loop's goroutine
-// after Run returns and the registration is released.
+// the caller's goroutine. The caller (who, under a virtual clock, must
+// currently hold the run token — e.g. the main goroutine during setup, or a
+// loop callback spawning a node) spawns the loop as a clock participant,
+// which fixes its place in the virtual run order; the loop's goroutine takes
+// over the clock registration made in New and leaves the clock when Run
+// returns. wg (may be nil) is counted up now and marked done after that,
+// so vclock.Join on it waits for the loop to be gone from the clock.
 //
 // All setup that must precede the first iteration — listeners, timers,
 // handlers — must happen before Go is called: under wall time the loop may
 // begin iterating immediately.
-func (l *Loop) Go(done func(error)) {
-	l.clk.Wake(l.role)
-	go func() {
-		l.clk.Start(l.role)
-		err := l.Run()
-		l.clk.Unregister()
-		if done != nil {
-			done(err)
+func (l *Loop) Go(wg *sync.WaitGroup) {
+	l.wake.Spawn(wg, func() {
+		if err := l.Run(); err != nil {
+			panic(err)
 		}
-	}()
+	})
 }
 
 // Reset re-arms a drained loop for another trial on the same clock,
@@ -417,7 +404,7 @@ func (l *Loop) Go(done func(error)) {
 // collaborators New wired in: the scheduler (core.Scheduler.Reseed), the
 // recorder, the metrics registry, the oracle tracker, and the virtual
 // clock (whose Reset leaves exactly the loop's own registration standing,
-// matching the Register New performed).
+// matching the clock entry New performed).
 func (l *Loop) Reset() {
 	l.mu.Lock()
 	clear(l.pending)
@@ -445,12 +432,9 @@ func (l *Loop) Reset() {
 	l.pollBlocked = false
 	clear(l.locals)
 	l.mu.Unlock()
-	// A wake left over from the trial's last moments carries no usable
-	// grant (the clock is reset separately); drop it.
-	select {
-	case <-l.wake:
-	default:
-	}
+	// Drop a wake left over from the trial's last moments; its grant went
+	// with the clock's own reset.
+	l.wake.Drain()
 	clear(l.timers)
 	l.timers = l.timers[:0]
 	l.timerSeq = 0
@@ -552,27 +536,16 @@ func (l *Loop) unref() {
 func (l *Loop) wakeup() {
 	// A wake aimed at a poll-blocked loop must carry a virtual-clock run
 	// grant: the grant vetoes advances until the loop consumes it (so the
-	// poll timer can never become ready concurrently and the two-way select
-	// stays deterministic) and fixes the loop's position in the run order
+	// poll timer can never become ready concurrently and the wait stays
+	// deterministic) and fixes the loop's position in the run order
 	// relative to other pending wakes. A wake sent while the loop is
 	// anywhere else needs no grant — the loop will notice the queued work
 	// via pollTimeout before it ever blocks again — and MUST not carry one:
 	// an unclaimed grant would wedge the clock. Reading pollBlocked and
-	// sending under l.mu makes the flag/token pairing atomic against poll's
+	// posting under l.mu makes the flag/token pairing atomic against poll's
 	// own transitions.
 	l.mu.Lock()
-	vetoed := l.pollBlocked
-	if vetoed {
-		l.clk.Wake(l.role)
-	}
-	select {
-	case l.wake <- wakeToken{vetoed: vetoed}:
-	default:
-		// Coalesced into an already-pending token; revoke the grant.
-		if vetoed {
-			l.clk.Unwake(l.role)
-		}
-	}
+	l.wake.Notify(l.pollBlocked)
 	l.mu.Unlock()
 }
 
@@ -612,19 +585,25 @@ func (l *Loop) postEvent(kind, label string, cb func(), src *Source, ref oracle.
 	l.wakeup()
 }
 
-// execute runs one callback on the loop goroutine: records it, takes the
-// run lock (serialized mode), and drains the NextTick queue afterwards.
-func (l *Loop) execute(kind, label string, cb func()) {
-	l.executeUnit(kind, label, oracle.Ref{}, nil, cb)
+// executeUnit runs one callback of the current phase through runUnit — ref
+// is the registering unit, key (when non-nil) adds the per-source FIFO edge
+// — and then drains the NextTick queue. It returns a Ref to the executed
+// unit so interval timers can chain one firing to the next; the zero Ref
+// when the oracle is off.
+func (l *Loop) executeUnit(kind, label string, ref oracle.Ref, key any, cb func()) oracle.Ref {
+	ran := l.runUnit(l.curPhase, kind, label, key, ref, oracle.Ref{}, cb)
+	l.drainTicks()
+	return ran
 }
 
-// executeUnit is execute bracketing the callback as an oracle unit: ref is
-// the registering unit, key (when non-nil) adds the per-source FIFO edge.
-// It returns a Ref to the executed unit so interval timers can chain one
-// firing to the next; the zero Ref when the oracle is off.
-func (l *Loop) executeUnit(kind, label string, ref oracle.Ref, key any, cb func()) oracle.Ref {
+// runUnit is the one path by which a callback executes on the loop: it
+// counts the callback against phase, takes the run lock (serialized mode),
+// records it, guards against overlap and brackets it as an oracle unit whose
+// predecessors are ref, xref and, for a non-nil key, the key's previous unit.
+// It does not drain ticks, so a tick that queues ticks cannot recurse.
+func (l *Loop) runUnit(phase int, kind, label string, key any, ref, xref oracle.Ref, cb func()) oracle.Ref {
 	atomic.AddInt64(&l.stats.Callbacks, 1)
-	l.phaseCB[l.curPhase].Inc()
+	l.phaseCB[phase].Inc()
 	// Under the virtual clock a contended run lock means a worker holds it,
 	// possibly while charging simulated I/O latency; LockBlocking counts the
 	// wait as blocked so the clock can advance past that latency.
@@ -635,7 +614,7 @@ func (l *Loop) executeUnit(kind, label string, ref oracle.Ref, key any, cb func(
 	}
 	var tok oracle.Token
 	if l.probe != nil {
-		tok = l.probe.BeginKeyed(kind, label, key, ref)
+		tok = l.probe.BeginKeyed(kind, label, key, ref, xref)
 	}
 	cb()
 	if l.probe != nil {
@@ -643,7 +622,6 @@ func (l *Loop) executeUnit(kind, label string, ref oracle.Ref, key any, cb func(
 	}
 	l.depth.Add(-1)
 	l.runLock.Unlock()
-	l.drainTicks()
 	return tok.Ref()
 }
 
@@ -659,24 +637,7 @@ func (l *Loop) drainTicks() {
 		t := l.ticks[0]
 		l.ticks = l.ticks[1:]
 		l.mu.Unlock()
-
-		atomic.AddInt64(&l.stats.Callbacks, 1)
-		l.phaseCB[phTicks].Inc()
-		vclock.LockBlocking(l.clk, l.runLock)
-		l.rec.Record(KindTick, t.label)
-		if l.depth.Add(1) != 1 {
-			panic("eventloop: overlapping loop callbacks")
-		}
-		var tok oracle.Token
-		if l.probe != nil {
-			tok = l.probe.Begin(KindTick, t.label, t.oref, t.xref)
-		}
-		t.fn()
-		if l.probe != nil {
-			l.probe.End(tok)
-		}
-		l.depth.Add(-1)
-		l.runLock.Unlock()
+		l.runUnit(phTicks, KindTick, t.label, nil, t.oref, t.xref, t.fn)
 		l.unref()
 	}
 }
@@ -913,13 +874,10 @@ func (l *Loop) poll() {
 
 // pollWait parks the loop until a wakeup arrives or timeout elapses
 // (timeout < 0 blocks indefinitely). The invariant it maintains for the
-// virtual clock: while the loop sits in the blocking select, any token in
+// virtual clock: while the loop sits in the blocking wait, any token in
 // l.wake carries a run grant, and an unclaimed grant vetoes advances — so
 // the bounding timer can never become ready at the same moment as a token
-// and the select is deterministic. A granted wake resumes through
-// AwaitTurn, which parks until every earlier-granted participant has had
-// its turn; a timer-driven exit resumes through Unblock, which consumes
-// the fire that woke it.
+// and the wait is deterministic.
 func (l *Loop) pollWait(timeout time.Duration) {
 	l.mu.Lock()
 	l.pollBlocked = true
@@ -933,40 +891,8 @@ func (l *Loop) pollWait(timeout time.Duration) {
 	// grant (and an unconsumed one from a previous poll may carry a stale
 	// one). Swallowing it here — and skipping the blocking wait, since a
 	// wakeup means there is work — re-establishes the invariant above.
-	select {
-	case tok := <-l.wake:
-		if tok.vetoed {
-			l.clk.Unwake(l.role)
-		}
-	default:
-		if timeout < 0 {
-			l.clk.Block()
-			tok := <-l.wake
-			if tok.vetoed {
-				l.clk.AwaitTurn(l.role)
-			} else {
-				l.clk.UnblockKeep()
-			}
-		} else {
-			t := l.clk.NewTimer(timeout)
-			l.clk.Block()
-			select {
-			case tok := <-l.wake:
-				// Stop before retaking the token: an abandoned deadline
-				// must leave the heap before the next advance can trigger.
-				t.Stop()
-				t.Release()
-				if tok.vetoed {
-					l.clk.AwaitTurn(l.role)
-				} else {
-					l.clk.UnblockKeep()
-				}
-			case <-t.C:
-				t.Stop()
-				t.Release()
-				l.clk.Unblock()
-			}
-		}
+	if !l.wake.Drain() {
+		l.wake.Wait(timeout, nil)
 	}
 
 	l.mu.Lock()
@@ -975,13 +901,7 @@ func (l *Loop) pollWait(timeout time.Duration) {
 	// Exit drain: a granted token that raced a timer-driven exit must not
 	// survive into the phases below — its unclaimed grant would wedge the
 	// clock. The work it announced is already queued.
-	select {
-	case tok := <-l.wake:
-		if tok.vetoed {
-			l.clk.Unwake(l.role)
-		}
-	default:
-	}
+	l.wake.Drain()
 	l.pollStart.Store(0)
 }
 

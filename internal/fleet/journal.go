@@ -1,11 +1,9 @@
 package fleet
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
-	"fmt"
-	"os"
+
+	"nodefz/internal/campaign"
 )
 
 // The fleet journal is append-only JSONL, one self-describing record per
@@ -101,53 +99,24 @@ type journalState struct {
 // is tolerated; a malformed line earlier in the file is an error.
 func loadJournal(path string) (*journalState, error) {
 	st := &journalState{}
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return st, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 16<<20)
-	lineNo := 0
-	sawTail := false
-	for sc.Scan() {
-		lineNo++
-		if sawTail {
-			return nil, fmt.Errorf("fleet: journal %s line %d: records after a malformed line", path, lineNo)
-		}
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var kind struct {
-			Type string `json:"type"`
-		}
-		if err := json.Unmarshal(line, &kind); err != nil {
-			sawTail = true
-			st.TornTail = true
-			continue
-		}
-		switch kind.Type {
+	torn, err := campaign.ScanJournal(path, "fleet", func(typ string, line []byte) (bool, error) {
+		switch typ {
 		case "slice":
 			var rec SliceRecord
 			if err := json.Unmarshal(line, &rec); err != nil {
-				sawTail = true
-				st.TornTail = true
-				continue
+				return true, err
 			}
 			st.Slices = append(st.Slices, rec)
 		case "fleet-checkpoint":
 			// Summaries are derivable from the slice records; skip.
 		default:
-			return nil, fmt.Errorf("fleet: journal %s line %d: unknown record type %q", path, lineNo, kind.Type)
+			return false, nil
 		}
-	}
-	if err := sc.Err(); err != nil {
+		return true, nil
+	})
+	if err != nil {
 		return nil, err
 	}
+	st.TornTail = torn
 	return st, nil
 }

@@ -117,8 +117,7 @@ type Config struct {
 type Pool struct {
 	cfg Config
 
-	clk  vclock.Clock
-	role int // the workers' shared virtual-clock wake role
+	clk vclock.Clock
 	// lean is set when the owner supplied no metrics registry: the
 	// histogram observations and the wall-clock task timing feeding them
 	// are skipped (the atomic counters remain), which removes two
@@ -126,23 +125,20 @@ type Pool struct {
 	lean bool
 
 	mu     sync.Mutex
-	cond   *sync.Cond
 	queue  []*Task
 	doneq  []*Task // multiplexed done queue (Demux == false)
 	closed bool
 	wg     sync.WaitGroup
+	work   func() // p.worker, bound once for every spawn
 
-	// Wake accounting for the virtual clock, guarded by mu. waiters counts
-	// workers parked in cond.Wait; sigPending counts cond.Signals sent but
-	// not yet consumed (each paired with one clock run grant). fillWaiting
-	// counts workers parked in the lookahead wait on the fill channel.
-	waiters     int
-	sigPending  int
-	fillWaiting int
 	// fill nudges a lookahead-waiting worker: the queue grew, the loop
-	// entered poll, or the pool is closing. Cap 1; sends are paired with a
-	// clock run grant and only attempted while fillWaiting > 0.
-	fill chan struct{}
+	// entered poll, or the pool is closing. Nudges carry a run grant and
+	// are posted only while fillWaiting (guarded by mu) counts a worker
+	// parked in the lookahead wait. The workers are spawned through fill,
+	// and idle ones park on cond, whose signals grant turns in fill's role.
+	fill        vclock.Wakeup
+	cond        vclock.Cond
+	fillWaiting int
 
 	// stats, guarded by mu
 	executed int
@@ -175,7 +171,7 @@ func New(cfg Config) *Pool {
 	if cfg.Clock == nil {
 		cfg.Clock = vclock.Wall{}
 	}
-	p := &Pool{cfg: cfg, clk: cfg.Clock, lean: lean, fill: make(chan struct{}, 1)}
+	p := &Pool{cfg: cfg, clk: cfg.Clock, lean: lean}
 	p.mSubmitted = cfg.Metrics.Counter("pool.tasks_submitted")
 	p.mExecuted = cfg.Metrics.Counter("pool.tasks_executed")
 	p.mBusyNS = cfg.Metrics.Counter("pool.busy_ns")
@@ -183,15 +179,10 @@ func New(cfg Config) *Pool {
 	p.mDoneDepth = cfg.Metrics.Histogram("pool.done_depth", metrics.DepthBounds())
 	p.mPickWindow = cfg.Metrics.Histogram("pool.pick_window", metrics.DepthBounds())
 	p.mTaskNS = cfg.Metrics.Histogram("pool.task_ns", metrics.DurationBounds())
-	p.cond = sync.NewCond(&p.mu)
-	p.role = p.clk.AllocRole()
-	p.wg.Add(cfg.Size)
-	for i := 0; i < cfg.Size; i++ {
-		// The spawn grant fixes each worker's place in the virtual run
-		// order; the worker claims it with Start before touching the queue.
-		p.clk.Wake(p.role)
-		go p.worker()
-	}
+	p.fill.Init(p.clk, 1)
+	p.cond.Init(&p.fill, &p.mu)
+	p.work = p.worker
+	p.spawnWorkers()
 	return p
 }
 
@@ -203,13 +194,8 @@ func (p *Pool) Submit(t *Task) {
 	p.queue = append(p.queue, t)
 	depth := len(p.queue)
 	// Wake exactly one idle worker per submit, granting it a virtual-clock
-	// turn: sigPending tracks signals not yet consumed so repeated submits
-	// never over-grant a single waiter.
-	if p.waiters > p.sigPending {
-		p.clk.Wake(p.role)
-		p.sigPending++
-		p.cond.Signal()
-	}
+	// turn.
+	p.cond.Signal()
 	p.pokeFillLocked()
 	p.mu.Unlock()
 	p.mSubmitted.Inc()
@@ -218,17 +204,11 @@ func (p *Pool) Submit(t *Task) {
 	}
 }
 
-// pokeFillLocked nudges a lookahead-waiting worker, pairing the cap-1 send
-// with a clock run grant. Caller holds p.mu (fillWaiting is stable).
+// pokeFillLocked nudges a lookahead-waiting worker. Caller holds p.mu
+// (fillWaiting is stable).
 func (p *Pool) pokeFillLocked() {
-	if p.fillWaiting == 0 {
-		return
-	}
-	p.clk.Wake(p.role)
-	select {
-	case p.fill <- struct{}{}:
-	default:
-		p.clk.Unwake(p.role)
+	if p.fillWaiting > 0 {
+		p.fill.Notify(true)
 	}
 }
 
@@ -268,9 +248,7 @@ func (p *Pool) Close() {
 	// leave a worker mid-way through charging virtual task latency, and the
 	// clock must stay free to advance it to completion. Close's only
 	// production caller is the loop's Run — a registered participant.
-	p.clk.Block()
-	p.wg.Wait()
-	p.clk.UnblockKeep()
+	vclock.Join(p.clk, &p.wg)
 }
 
 // Reset re-arms a closed pool for a new trial: the task and done queues are
@@ -285,11 +263,8 @@ func (p *Pool) Reset() {
 	clear(p.doneq)
 	p.doneq = p.doneq[:0]
 	p.executed = 0
-	p.sigPending = 0
-	select {
-	case <-p.fill:
-	default:
-	}
+	p.cond.Reset()
+	p.fill.Drain()
 	p.mu.Unlock()
 }
 
@@ -304,18 +279,18 @@ func (p *Pool) Restart() {
 	}
 	p.closed = false
 	p.mu.Unlock()
-	p.wg.Add(p.cfg.Size)
+	p.spawnWorkers()
+}
+
+// spawnWorkers starts the workers; each spawn's run grant fixes the
+// worker's place in the virtual run order.
+func (p *Pool) spawnWorkers() {
 	for i := 0; i < p.cfg.Size; i++ {
-		p.clk.Wake(p.role)
-		go p.worker()
+		p.fill.Spawn(&p.wg, p.work)
 	}
 }
 
 func (p *Pool) worker() {
-	defer p.wg.Done()
-	p.clk.Register()
-	defer p.clk.Unregister()
-	p.clk.Start(p.role)
 	for {
 		t, ok := p.take()
 		if !ok {
@@ -362,21 +337,7 @@ func (p *Pool) take() (t *Task, ok bool) {
 			if p.closed {
 				return nil, false
 			}
-			p.waiters++
-			p.clk.Block()
 			p.cond.Wait()
-			p.waiters--
-			if p.sigPending > 0 {
-				// A Submit signalled us and granted a turn; claim it without
-				// holding p.mu (the running participant may need the pool).
-				p.sigPending--
-				p.mu.Unlock()
-				p.clk.AwaitTurn(p.role)
-				p.mu.Lock()
-			} else {
-				// Close's broadcast carries no grant.
-				p.clk.UnblockKeep()
-			}
 		}
 
 		// Wait for the queue to fill up to the lookahead window (§4.3.4,
@@ -420,9 +381,9 @@ func (p *Pool) take() (t *Task, ok bool) {
 // fillWaitLocked parks the worker until the lookahead window fills, the
 // fill deadline or the loop's poll threshold expires, or the pool closes.
 // Instead of the historical 20µs unlock/sleep/lock spin it waits on the
-// fill channel bounded by a clock timer: no busy CPU in wall mode, no time
-// at all in virtual mode. Caller holds p.mu; returns with p.mu held, false
-// when the queue emptied and the caller must start over.
+// fill wakeup with a deadline: no busy CPU in wall mode, no time at all in
+// virtual mode. Caller holds p.mu; returns with p.mu held, false when the
+// queue emptied and the caller must start over.
 func (p *Pool) fillWaitLocked(dof int, maxDelay, pollThreshold time.Duration) bool {
 	deadline := p.clk.Now().Add(maxDelay)
 	for !p.closed && (dof < 0 || len(p.queue) < dof) {
@@ -443,30 +404,14 @@ func (p *Pool) fillWaitLocked(dof int, maxDelay, pollThreshold time.Duration) bo
 			}
 		}
 		p.fillWaiting++
-		t := p.clk.NewTimerPri(remaining, 1)
 		p.mu.Unlock()
-		p.clk.Block()
-		select {
-		case <-p.fill:
-			// A nudge carries a run grant; stop the abandoned timer before
-			// claiming our turn (an advance may trigger while we wait).
-			t.Stop()
-			t.Release()
-			p.clk.AwaitTurn(p.role)
-		case <-t.C:
-			t.Stop()
-			t.Release()
-			p.clk.Unblock()
-		}
+		p.fill.Wait(remaining, nil)
 		p.mu.Lock()
 		p.fillWaiting--
-		// A nudge that raced the timer leaves its token (and its unclaimed
-		// grant) behind; both must be consumed before anyone blocks again.
-		select {
-		case <-p.fill:
-			p.clk.Unwake(p.role)
-		default:
-		}
+		// A nudge that raced the deadline leaves its token (and its
+		// unclaimed grant) behind; both must be consumed before anyone
+		// blocks again.
+		p.fill.Drain()
 		if len(p.queue) == 0 {
 			return false
 		}

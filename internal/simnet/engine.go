@@ -40,15 +40,17 @@ func (h *deliveryHeap) Pop() any {
 // pending deliveries, fired when due. It is the wire — latency happens
 // here, and loops observe only the resulting poll events.
 type engine struct {
-	clk    vclock.Clock
-	role   int // the engine's virtual-clock wake role
+	clk vclock.Clock
+	// wake nudges the engine when a delivery is scheduled; the engine is
+	// spawned through it. Every nudge carries a run grant.
+	wake   vclock.Wakeup
 	mu     sync.Mutex
 	heap   deliveryHeap
 	seq    uint64
-	wake   chan struct{}
 	done   chan struct{}
 	closed bool
 	wg     sync.WaitGroup
+	body   func() // e.run, bound once for every spawn
 	// free recycles fired deliveries; a steady-state trial schedules
 	// without allocating. Guarded by mu.
 	free []*delivery
@@ -60,15 +62,12 @@ func newEngine(clk vclock.Clock) *engine {
 	}
 	e := &engine{
 		clk:  clk,
-		wake: make(chan struct{}, 1),
 		done: make(chan struct{}),
 	}
-	e.role = clk.AllocRole()
-	// The spawn grant fixes the engine's place in the virtual run order;
-	// run() claims it with Start before touching the heap.
-	e.wg.Add(1)
-	clk.Wake(e.role)
-	go e.run()
+	e.wake.Init(clk, 2)
+	e.body = e.run
+	// The spawn grant fixes the engine's place in the virtual run order.
+	e.wake.Spawn(&e.wg, e.body)
 	return e
 }
 
@@ -97,12 +96,7 @@ func (e *engine) schedule(delay time.Duration, notBefore time.Time, fn func()) t
 	d.due, d.seq, d.fn = due, e.seq, fn
 	heap.Push(&e.heap, d)
 	e.mu.Unlock()
-	e.clk.Wake(e.role)
-	select {
-	case e.wake <- struct{}{}:
-	default:
-		e.clk.Unwake(e.role)
-	}
+	e.wake.Notify(true)
 	return due
 }
 
@@ -122,17 +116,11 @@ func (e *engine) close() {
 	e.closed = true
 	e.mu.Unlock()
 	close(e.done)
-	e.clk.Block()
-	e.wg.Wait()
-	e.clk.UnblockKeep()
+	vclock.Join(e.clk, &e.wg)
 	// A wake that raced the teardown leaves its token — and its unclaimed
 	// run grant — behind; revoke it so the grant cannot wedge the clock or
 	// leak into the engine's next incarnation.
-	select {
-	case <-e.wake:
-		e.clk.Unwake(e.role)
-	default:
-	}
+	e.wake.Drain()
 }
 
 // restart re-arms a closed engine: the delivery heap empties in place and a
@@ -146,16 +134,10 @@ func (e *engine) restart() {
 	e.closed = false
 	e.done = make(chan struct{})
 	e.mu.Unlock()
-	e.wg.Add(1)
-	e.clk.Wake(e.role)
-	go e.run()
+	e.wake.Spawn(&e.wg, e.body)
 }
 
 func (e *engine) run() {
-	defer e.wg.Done()
-	e.clk.Register()
-	defer e.clk.Unregister()
-	e.clk.Start(e.role)
 	var recycle *delivery
 	for {
 		e.mu.Lock()
@@ -186,37 +168,9 @@ func (e *engine) run() {
 			recycle = ready
 			continue
 		}
-		if wait < 0 {
-			e.clk.Block()
-			select {
-			case <-e.wake:
-				// schedule granted us a turn; claim it in queue order.
-				e.clk.AwaitTurn(e.role)
-			case <-e.done:
-				// Teardown wake: no grant is addressed to us.
-				e.clk.UnblockKeep()
-				return
-			}
-			continue
-		}
-		t := e.clk.NewTimerPri(wait, 2)
-		e.clk.Block()
-		// Stop the abandoned timer before retaking the token: its deadline
-		// must leave the virtual heap before the next advance can trigger.
-		select {
-		case <-e.wake:
-			t.Stop()
-			t.Release()
-			e.clk.AwaitTurn(e.role)
-		case <-t.C:
-			t.Stop()
-			t.Release()
-			e.clk.Unblock()
-		case <-e.done:
-			t.Stop()
-			t.Release()
-			e.clk.UnblockKeep()
-			return
-		}
+		// Sleep until the next delivery is due (wait < 0: nothing queued), a
+		// schedule nudges us, or close tears the engine down; the loop top
+		// then sees closed.
+		e.wake.Wait(wait, e.done)
 	}
 }

@@ -3,6 +3,7 @@ package simnet
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -29,35 +30,27 @@ func partitionPair(seed int64) (lc, ls *eventloop.Loop, net *Network) {
 	return
 }
 
-// runBoth runs both loops to completion under the clock's grant protocol,
-// as a cluster trial runs its node loops. The caller holds the run token
-// from setup: b enters the run order through Loop.Go's grant, and a runs on
-// a goroutine that inherits the token, then waits clock-blocked for b to
-// drain, as cluster.Join does.
+// runBoth runs both loops to completion on the shared clock, as a cluster
+// trial runs its node loops. The caller holds the run token from setup: b
+// enters the run order through Loop.Go's spawn, and a runs on a goroutine
+// that inherits the token, then joins b, as cluster.Join does.
 func runBoth(t *testing.T, a, b *eventloop.Loop) {
 	t.Helper()
-	errs := make(chan error, 2)
-	bDone := make(chan struct{})
-	b.Go(func(err error) { errs <- err; close(bDone) })
-	done := make(chan struct{})
+	var bwg sync.WaitGroup
+	b.Go(&bwg)
+	errc := make(chan error, 1)
 	go func() {
-		defer close(done)
-		errs <- a.Run()
-		clk := a.Clock()
-		clk.Block()
-		<-bDone
-		clk.UnblockKeep()
+		err := a.Run()
+		vclock.Join(a.Clock(), &bwg)
+		errc <- err
 	}()
 	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("loops did not terminate")
-	}
-	close(errs)
-	for err := range errs {
+	case err := <-errc:
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("loops did not terminate")
 	}
 }
 

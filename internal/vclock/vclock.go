@@ -17,26 +17,25 @@
 // acquisition order, wake interleaving, and advance counts depend on the Go
 // scheduler, and trials stop being a pure function of the seed.
 //
-// The life of a participant:
+// Handing the token from one participant to another goes through a FIFO of
+// run grants, each addressed to a role (a participant, or a group of
+// interchangeable ones like a pool's workers). Whoever wakes another
+// participant issues the grant immediately before the wakeup, which both
+// vetoes clock advances while the wakeup is in flight and fixes the wakee's
+// place in the run order; the wakee claims the grant before it runs. Because
+// only the running participant (or a timer fire, of which there is one per
+// advance) ever issues grants, the grant order — and therefore the entire
+// execution order — is deterministic.
 //
-//   - Its spawner (which holds the token) calls Wake(role) to enqueue a run
-//     grant, then starts the goroutine; the goroutine calls Register and
-//     then Start(role), which blocks until that grant reaches the head of
-//     the queue and the token is free.
-//   - To wait on a clock timer it brackets the wait with Block/Unblock.
-//     Block releases the token; Unblock (after the timer fires) retakes it.
-//   - To wait on an ordinary channel whose sender is another participant, it
-//     calls Block, waits, and retakes the token with AwaitTurn(role). The
-//     SENDER pairs every wake signal with Wake(role) — called immediately
-//     before the send — which both vetoes clock advances while the wake is
-//     in flight and fixes the wakee's position in the run order. A sender
-//     whose non-blocking send fails (the wake token was already present)
-//     must undo with Unwake, or the leaked grant wedges the clock forever.
+// The protocol itself is private to this package. Callers use four
+// primitives that pair every grant with its wakeup:
 //
-// Grants are honoured strictly FIFO. Because only the running participant
-// (or a timer fire, of which there is one per advance) ever issues wakes,
-// the grant order — and therefore the entire execution order — is
-// deterministic.
+//   - Wakeup.Spawn starts a participant with its run grant;
+//   - Wakeup is a one-slot wakeup a participant waits on, with an optional
+//     deadline and done channel;
+//   - Cond is a condition variable whose signals carry run grants;
+//   - Join waits for spawned participants to exit while counting as
+//     blocked, so the clock stays free to run them to completion.
 //
 // # Advancing
 //
@@ -45,7 +44,7 @@
 // earliest pending deadline and fires exactly that one timer (ties broken by
 // pri, then creation order). The fire counts as an in-flight wake, so a
 // second advance cannot happen until the woken participant retakes the
-// token with Unblock.
+// token.
 package vclock
 
 import (
@@ -59,7 +58,7 @@ import (
 )
 
 // debugProtocol enables expensive invariant checks: operations that only the
-// run-token holder may perform (Wake, NewTimer, Charge, Block) print a stack
+// run-token holder may perform (wake, NewTimer, Charge, block) print a stack
 // trace when called while the token is free. Diagnostic aid, off by default.
 var debugProtocol = os.Getenv("NODEFZ_VCLOCK_DEBUG") != ""
 
@@ -103,45 +102,23 @@ type Clock interface {
 	// creation order breaks the remaining ties. NewTimer uses pri 0.
 	NewTimerPri(d time.Duration, pri int) *Timer
 
-	// AllocRole returns a fresh role identifier for a participant (or a
-	// group of interchangeable participants, like a pool's workers) to use
-	// with Wake/Unwake/Start/AwaitTurn. Roles keep distinguishable
-	// participants from consuming each other's run grants.
-	AllocRole() int
-	// Register adds the calling goroutine to the participant set. The first
-	// registrant on an idle clock becomes the running participant.
-	Register()
-	// Unregister removes the calling goroutine from the participant set and
-	// relinquishes the run token. Call only on teardown paths.
-	Unregister()
-	// Block marks the caller as waiting and releases the run token; the
-	// last participant to block may trigger an advance. Pair with Unblock
-	// (timer waits) or AwaitTurn (channel waits).
-	Block()
-	// Unblock retakes the run token after the caller's own timer fired,
-	// consuming the fire's in-flight wake.
-	Unblock()
-	// UnblockKeep marks the caller runnable when its wait ended with no
-	// in-flight wake addressed to it — the pool-shutdown join, say. It
-	// retakes the run token only if the token is free and no grant is
-	// pending.
-	UnblockKeep()
-	// Wake enqueues a run grant for a participant with the given role.
-	// Call it immediately BEFORE sending that participant its wake signal;
-	// the grant vetoes clock advances until the wakee claims it with Start
-	// or AwaitTurn.
-	Wake(role int)
-	// Unwake revokes the most recent unclaimed grant for role, undoing a
-	// Wake whose wake send turned out to be a no-op (coalesced into an
-	// already-pending token).
-	Unwake(role int)
-	// Start claims a pending grant for role and takes the run token,
-	// blocking until the grant reaches the head of the queue. It is how a
-	// freshly spawned participant (not Block'ed) enters the rotation.
-	Start(role int)
-	// AwaitTurn is Start for a participant that wakes from a Block'ed
-	// channel wait: it additionally clears the caller's blocked mark.
-	AwaitTurn(role int)
+	// The participant side of the run-token protocol, reached only through
+	// Wakeup, Cond, Join and LockBlocking; no-ops on Wall. A role names a
+	// participant, or a group of interchangeable ones, in the grant queue.
+	allocRole() int
+	register()    // join; the first participant on an idle clock takes the token
+	unregister()  // leave, releasing the token
+	block()       // start waiting: release the token; time may advance
+	unblock()     // end a timer wait: retake the token, consuming the fire
+	unblockKeep() // end an ungranted wait: take the token if free and nothing is in flight
+	// wake queues a run grant for role just before the wakeup it pays for;
+	// the grant vetoes advances until claimed. unwake revokes role's latest
+	// unclaimed grant. start (a spawned participant) and awaitTurn (after
+	// block) wait for role's grant to head the queue and take the token.
+	wake(role int)
+	unwake(role int)
+	start(role int)
+	awaitTurn(role int)
 }
 
 // Timer is the clock-agnostic analogue of time.Timer.
@@ -189,16 +166,16 @@ func (Wall) Since(t time.Time) time.Duration { return time.Since(t) }
 func (Wall) Until(t time.Time) time.Duration { return time.Until(t) }
 func (Wall) Sleep(d time.Duration)           { time.Sleep(d) }
 func (Wall) Charge(d time.Duration)          { time.Sleep(d) }
-func (Wall) AllocRole() int                  { return 0 }
-func (Wall) Register()                       {}
-func (Wall) Unregister()                     {}
-func (Wall) Block()                          {}
-func (Wall) Unblock()                        {}
-func (Wall) UnblockKeep()                    {}
-func (Wall) Wake(int)                        {}
-func (Wall) Unwake(int)                      {}
-func (Wall) Start(int)                       {}
-func (Wall) AwaitTurn(int)                   {}
+func (Wall) allocRole() int                  { return 0 }
+func (Wall) register()                       {}
+func (Wall) unregister()                     {}
+func (Wall) block()                          {}
+func (Wall) unblock()                        {}
+func (Wall) unblockKeep()                    {}
+func (Wall) wake(int)                        {}
+func (Wall) unwake(int)                      {}
+func (Wall) start(int)                       {}
+func (Wall) awaitTurn(int)                   {}
 
 func (Wall) NewTimer(d time.Duration) *Timer {
 	wt := time.NewTimer(d)
@@ -234,11 +211,11 @@ type Virtual struct {
 	// runq[qhead:] is the FIFO of issued-but-unclaimed run grants, by role.
 	// A non-empty queue vetoes advances: a wake is in flight. Claims advance
 	// qhead instead of re-slicing, so the backing array never drifts and
-	// Wake stops allocating once the queue has reached its high-water mark.
+	// wake stops allocating once the queue has reached its high-water mark.
 	runq  []int
 	qhead int
 	// fire counts a timer fire whose waiter has not yet retaken the token
-	// via Unblock. Like a grant, it vetoes advances.
+	// via unblock. Like a grant, it vetoes advances.
 	fire int
 
 	timers vheap
@@ -256,30 +233,11 @@ func NewVirtual() *Virtual {
 	return v
 }
 
-// DebugState renders the participant accounting for wedge diagnosis: when a
-// multi-loop trial hangs, the one advance precondition that fails here names
-// the protocol bug. Deliberately cheap and allocation-tolerant — it is only
-// called from watchdogs and debug dumps, never on a hot path.
-func (v *Virtual) DebugState() string {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	s := fmt.Sprintf("vclock{participants=%d blocked=%d running=%v fire=%d grants=%v timers=%d",
-		v.participants, v.blocked, v.running, v.fire, v.runq[v.qhead:], len(v.timers))
-	for i, t := range v.timers {
-		if i == 3 {
-			s += " …"
-			break
-		}
-		s += fmt.Sprintf(" t%d@%s/pri%d", t.seq, t.deadline.Sub(v.now), t.pri)
-	}
-	return s + "}"
-}
-
 // Reset rewinds the clock to the epoch for the next trial of an arena: time,
 // timer sequence numbers, grants, fires, and the pending-timer heap all
 // return to their just-constructed values, with the calling goroutine as the
-// single registered participant holding the run token (the state Register
-// leaves a fresh clock in when the event loop is built on it).
+// single registered participant holding the run token (the state a fresh
+// clock is in once the event loop built on it has entered).
 //
 // The caller must guarantee quiescence first: every other participant has
 // unregistered and no other goroutine will touch the clock again. Role
@@ -370,9 +328,9 @@ func (v *Virtual) Until(t time.Time) time.Duration { return t.Sub(v.Now()) }
 // which keeps zero-delay sleeps ordered with everything else.
 func (v *Virtual) Sleep(d time.Duration) {
 	t := v.NewTimer(d)
-	v.Block()
+	v.block()
 	<-t.C
-	v.Unblock()
+	v.unblock()
 	t.Release()
 }
 
@@ -449,18 +407,18 @@ func (v *Virtual) releaseTimer(vt *vtimer) {
 	v.free = append(v.free, vt)
 }
 
-func (v *Virtual) AllocRole() int {
+func (v *Virtual) allocRole() int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	v.roles++
 	return v.roles
 }
 
-// Register adds a participant. The first registrant on an idle clock — in
+// register adds a participant. The first registrant on an idle clock — in
 // practice the goroutine constructing the runtime, which goes on to become
 // the event loop — takes the run token; later registrants (spawned workers,
-// the delivery engine) enter through their spawn grants via Start.
-func (v *Virtual) Register() {
+// the delivery engine) enter through their spawn grants via start.
+func (v *Virtual) register() {
 	v.mu.Lock()
 	v.participants++
 	if !v.running && v.fire == 0 && v.qlen() == 0 {
@@ -472,10 +430,10 @@ func (v *Virtual) Register() {
 // qlen is the number of unclaimed grants. Caller holds mu.
 func (v *Virtual) qlen() int { return len(v.runq) - v.qhead }
 
-// Unregister removes a participant on its teardown path, relinquishing the
+// unregister removes a participant on its teardown path, relinquishing the
 // run token. The remaining blocked participants may now satisfy the advance
 // condition, so it re-checks.
-func (v *Virtual) Unregister() {
+func (v *Virtual) unregister() {
 	v.mu.Lock()
 	v.participants--
 	v.running = false
@@ -484,9 +442,9 @@ func (v *Virtual) Unregister() {
 	v.mu.Unlock()
 }
 
-func (v *Virtual) Block() {
+func (v *Virtual) block() {
 	v.mu.Lock()
-	v.assertRunning("Block")
+	v.assertRunning("block")
 	v.blocked++
 	v.running = false
 	if v.qlen() > 0 {
@@ -498,7 +456,7 @@ func (v *Virtual) Block() {
 	v.mu.Unlock()
 }
 
-func (v *Virtual) Unblock() {
+func (v *Virtual) unblock() {
 	v.mu.Lock()
 	v.blocked--
 	if v.fire > 0 {
@@ -508,7 +466,7 @@ func (v *Virtual) Unblock() {
 	v.mu.Unlock()
 }
 
-func (v *Virtual) UnblockKeep() {
+func (v *Virtual) unblockKeep() {
 	v.mu.Lock()
 	v.blocked--
 	if !v.running && v.fire == 0 && v.qlen() == 0 {
@@ -519,14 +477,14 @@ func (v *Virtual) UnblockKeep() {
 	v.mu.Unlock()
 }
 
-func (v *Virtual) Wake(role int) {
+func (v *Virtual) wake(role int) {
 	v.mu.Lock()
-	v.assertRunning("Wake")
+	v.assertRunning("wake")
 	v.runq = append(v.runq, role)
 	v.mu.Unlock()
 }
 
-func (v *Virtual) Unwake(role int) {
+func (v *Virtual) unwake(role int) {
 	v.mu.Lock()
 	for i := len(v.runq) - 1; i >= v.qhead; i-- {
 		if v.runq[i] == role {
@@ -543,13 +501,13 @@ func (v *Virtual) Unwake(role int) {
 	v.mu.Unlock()
 }
 
-func (v *Virtual) Start(role int) {
+func (v *Virtual) start(role int) {
 	v.mu.Lock()
 	v.claimTurn(role)
 	v.mu.Unlock()
 }
 
-func (v *Virtual) AwaitTurn(role int) {
+func (v *Virtual) awaitTurn(role int) {
 	v.mu.Lock()
 	v.claimTurn(role)
 	v.blocked--
@@ -564,7 +522,7 @@ func (v *Virtual) claimTurn(role int) {
 	}
 	v.qhead++
 	if v.qhead == len(v.runq) {
-		// Queue drained: rewind to the front of the backing array so Wake
+		// Queue drained: rewind to the front of the backing array so wake
 		// keeps reusing it instead of appending ever further right.
 		v.runq = v.runq[:0]
 		v.qhead = 0
@@ -587,9 +545,9 @@ func LockBlocking(clk Clock, l sync.Locker) {
 		if m.TryLock() {
 			return
 		}
-		clk.Block()
+		clk.block()
 		m.Lock()
-		clk.UnblockKeep()
+		clk.unblockKeep()
 		return
 	}
 	l.Lock()

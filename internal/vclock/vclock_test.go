@@ -1,6 +1,7 @@
 package vclock
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -29,8 +30,8 @@ func TestWallDelegates(t *testing.T) {
 // with no wall delay.
 func TestVirtualSleepAdvances(t *testing.T) {
 	v := NewVirtual()
-	v.Register()
-	defer v.Unregister()
+	v.register()
+	defer v.unregister()
 	t0 := v.Now()
 	wall0 := time.Now()
 	v.Sleep(5 * time.Second)
@@ -46,8 +47,8 @@ func TestVirtualSleepAdvances(t *testing.T) {
 // order, one per advance.
 func TestVirtualTimerOrdering(t *testing.T) {
 	v := NewVirtual()
-	v.Register()
-	defer v.Unregister()
+	v.register()
+	defer v.unregister()
 
 	a := v.NewTimer(20 * time.Millisecond)
 	b := v.NewTimer(10 * time.Millisecond)
@@ -55,7 +56,7 @@ func TestVirtualTimerOrdering(t *testing.T) {
 
 	var order []string
 	for i := 0; i < 3; i++ {
-		v.Block()
+		v.block()
 		select {
 		case <-a.C:
 			order = append(order, "a")
@@ -64,7 +65,7 @@ func TestVirtualTimerOrdering(t *testing.T) {
 		case <-c.C:
 			order = append(order, "c")
 		}
-		v.Unblock()
+		v.unblock()
 	}
 	want := []string{"b", "c", "a"}
 	for i := range want {
@@ -81,8 +82,8 @@ func TestVirtualTimerOrdering(t *testing.T) {
 // block the advance of later deadlines or wedge the clock.
 func TestVirtualStopRemovesDeadline(t *testing.T) {
 	v := NewVirtual()
-	v.Register()
-	defer v.Unregister()
+	v.register()
+	defer v.unregister()
 
 	early := v.NewTimer(time.Millisecond)
 	if !early.Stop() {
@@ -98,16 +99,16 @@ func TestVirtualStopRemovesDeadline(t *testing.T) {
 // all participants are blocked.
 func TestVirtualGrantVeto(t *testing.T) {
 	v := NewVirtual()
-	v.Register() // lone participant; Register hands us the run token
-	role := v.AllocRole()
+	v.register() // lone participant; register hands us the run token
+	role := v.allocRole()
 	tm := v.NewTimer(time.Hour)
 
-	v.Wake(role) // pretend a wake is in flight
+	v.wake(role) // pretend a wake is in flight
 	fired := make(chan struct{})
 	go func() {
-		v.Block()
+		v.block()
 		<-tm.C
-		v.Unblock()
+		v.unblock()
 		close(fired)
 	}()
 	select {
@@ -117,47 +118,47 @@ func TestVirtualGrantVeto(t *testing.T) {
 	}
 	// Claiming the grant (as the wakee would) and blocking again releases
 	// the clock.
-	v.AwaitTurn(role)
-	v.Block()
+	v.awaitTurn(role)
+	v.block()
 	select {
 	case <-fired:
 	case <-time.After(2 * time.Second):
 		t.Fatal("clock did not advance after the grant was claimed")
 	}
-	v.Unregister()
+	v.unregister()
 }
 
 // TestVirtualGrantFIFO: run grants are honoured strictly in issue order, no
 // matter which claimant parks first.
 func TestVirtualGrantFIFO(t *testing.T) {
 	v := NewVirtual()
-	v.Register() // we hold the run token while issuing the grants
-	rA, rB := v.AllocRole(), v.AllocRole()
+	v.register() // we hold the run token while issuing the grants
+	rA, rB := v.allocRole(), v.allocRole()
 
 	var mu sync.Mutex
 	var order []string
 	var wg sync.WaitGroup
-	v.Wake(rA)
-	v.Wake(rB)
+	v.wake(rA)
+	v.wake(rB)
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		v.Start(rB)
+		v.start(rB)
 		mu.Lock()
 		order = append(order, "B")
 		mu.Unlock()
-		v.Block()
+		v.block()
 	}()
 	time.Sleep(20 * time.Millisecond) // let B park on its (later) grant first
 	go func() {
 		defer wg.Done()
-		v.Start(rA)
+		v.start(rA)
 		mu.Lock()
 		order = append(order, "A")
 		mu.Unlock()
-		v.Block()
+		v.block()
 	}()
-	v.Block() // release the token; the grant queue decides who runs
+	v.block() // release the token; the grant queue decides who runs
 	wg.Wait()
 	if order[0] != "A" || order[1] != "B" {
 		t.Fatalf("grant claim order %v, want [A B]", order)
@@ -168,8 +169,8 @@ func TestVirtualGrantFIFO(t *testing.T) {
 // block, and a worker doing CPU work holds time still.
 func TestVirtualTwoParticipants(t *testing.T) {
 	v := NewVirtual()
-	v.Register() // participant 1: the timer waiter
-	v.Register() // participant 2: the "worker"
+	v.register() // participant 1: the timer waiter
+	v.register() // participant 2: the "worker"
 
 	workDone := make(chan struct{})
 	go func() {
@@ -179,19 +180,19 @@ func TestVirtualTwoParticipants(t *testing.T) {
 			t.Errorf("virtual time advanced to %v while a participant was runnable", got)
 		}
 		close(workDone)
-		v.Block() // park forever
+		v.block() // park forever
 	}()
 
 	tm := v.NewTimer(time.Millisecond)
 	<-workDone
-	v.Block()
+	v.block()
 	select {
 	case <-tm.C:
 	case <-time.After(2 * time.Second):
 		t.Fatal("timer never fired after all participants blocked")
 	}
-	v.Unblock()
-	v.Unregister()
+	v.unblock()
+	v.unregister()
 }
 
 // TestVirtualConcurrentSleepers: N registered sleepers with distinct
@@ -200,16 +201,16 @@ func TestVirtualConcurrentSleepers(t *testing.T) {
 	v := NewVirtual()
 	const n = 8
 	var wg sync.WaitGroup
-	// Register everyone before any sleeper can block: the clock then cannot
+	// register everyone before any sleeper can block: the clock then cannot
 	// advance until all n timers exist, so every deadline is epoch-relative.
 	for i := 1; i <= n; i++ {
-		v.Register()
+		v.register()
 	}
 	for i := 1; i <= n; i++ {
 		wg.Add(1)
 		go func(d time.Duration) {
 			defer wg.Done()
-			defer v.Unregister()
+			defer v.unregister()
 			v.Sleep(d)
 		}(time.Duration(i) * 10 * time.Millisecond)
 	}
@@ -229,11 +230,11 @@ func TestVirtualConcurrentSleepers(t *testing.T) {
 // leave the clock free to advance.
 func TestVirtualUnwake(t *testing.T) {
 	v := NewVirtual()
-	v.Register()
-	defer v.Unregister()
-	role := v.AllocRole()
-	v.Wake(role)
-	v.Unwake(role)
+	v.register()
+	defer v.unregister()
+	role := v.allocRole()
+	v.wake(role)
+	v.unwake(role)
 	done := make(chan struct{})
 	go func() { v.Sleep(time.Millisecond); close(done) }()
 	select {
@@ -247,14 +248,14 @@ func TestVirtualUnwake(t *testing.T) {
 // deadlines it skips over fire late (not never) on the next advance.
 func TestVirtualCharge(t *testing.T) {
 	v := NewVirtual()
-	v.Register()
-	defer v.Unregister()
+	v.register()
+	defer v.unregister()
 	tm := v.NewTimer(time.Millisecond)
 	v.Charge(10 * time.Millisecond)
 	if got := v.Since(epoch); got != 10*time.Millisecond {
 		t.Fatalf("Charge advanced to %v, want 10ms", got)
 	}
-	v.Block()
+	v.block()
 	select {
 	case at := <-tm.C:
 		// An overdue timer fires at the current (later) time.
@@ -264,5 +265,144 @@ func TestVirtualCharge(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("overdue timer never fired after Charge")
 	}
-	v.Unblock()
+	v.unblock()
+}
+
+// pendingGrants reads the unclaimed-grant count under the clock's lock.
+func (v *Virtual) pendingGrants() int {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.qlen()
+}
+
+// TestWakeupCoalescedGrantRevoked: a granted token that coalesces into a
+// pending one, or is drained unconsumed, takes its grant with it, so the
+// grant queue matches the tokens in flight and the clock stays free.
+func TestWakeupCoalescedGrantRevoked(t *testing.T) {
+	v := NewVirtual()
+	var w Wakeup
+	w.Init(v, 0)
+	w.Enter()
+	w.Notify(true)
+	w.Notify(true) // coalesces
+	if n := v.pendingGrants(); n != 1 {
+		t.Fatalf("%d grants pending after a coalesced notify, want 1", n)
+	}
+	if !w.Drain() || w.Drain() {
+		t.Fatal("Drain must consume exactly the one pending token")
+	}
+	if n := v.pendingGrants(); n != 0 {
+		t.Fatalf("%d grants pending after Drain, want 0", n)
+	}
+	done := make(chan struct{})
+	go func() { v.Sleep(time.Millisecond); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("a revoked grant wedged the clock")
+	}
+}
+
+// TestWakeupWaitDeadline: with nothing posted, Wait returns through its
+// deadline timer, at exactly the deadline in virtual time.
+func TestWakeupWaitDeadline(t *testing.T) {
+	v := NewVirtual()
+	var w Wakeup
+	w.Init(v, 0)
+	w.Enter()
+	w.Wait(5*time.Millisecond, nil)
+	if got := v.Since(epoch); got != 5*time.Millisecond {
+		t.Fatalf("Wait returned at %v, want 5ms", got)
+	}
+	w.Notify(true)
+	w.Wait(time.Hour, nil) // a pending granted token returns at once
+	if got := v.Since(epoch); got != 5*time.Millisecond {
+		t.Fatalf("Wait on a pending granted token advanced the clock to %v", got)
+	}
+}
+
+// TestWakeupSpawnNotifyJoin: a spawned participant runs only once the
+// spawner gives up the token, a granted notify resumes it, a closed done
+// channel ends its wait, and Join returns once it has left the clock.
+func TestWakeupSpawnNotifyJoin(t *testing.T) {
+	v := NewVirtual()
+	var owner, w Wakeup
+	owner.Init(v, 0)
+	owner.Enter()
+	w.Init(v, 0)
+	var wg sync.WaitGroup
+	var order []string
+	done := make(chan struct{})
+	w.Spawn(&wg, func() {
+		order = append(order, "started")
+		w.Wait(-1, nil)
+		order = append(order, "notified")
+		w.Wait(-1, done)
+		order = append(order, "done")
+	})
+	order = append(order, "spawner")
+	v.Sleep(time.Millisecond) // the participant runs and parks
+	w.Notify(true)
+	v.Sleep(time.Millisecond)
+	close(done)
+	Join(v, &wg)
+	want := []string{"spawner", "started", "notified", "done"}
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("run order %v, want %v", order, want)
+	}
+	if got := v.Since(epoch); got != 2*time.Millisecond {
+		t.Fatalf("virtual time %v, want 2ms", got)
+	}
+}
+
+// TestCondGrantsOneTurnPerWaiter: Signal grants a turn only while some
+// waiter has none pending, and the woken waiter resumes through it.
+func TestCondGrantsOneTurnPerWaiter(t *testing.T) {
+	v := NewVirtual()
+	var owner, w Wakeup
+	owner.Init(v, 0)
+	owner.Enter()
+	w.Init(v, 0)
+	var mu sync.Mutex
+	var c Cond
+	c.Init(&w, &mu)
+	var wg sync.WaitGroup
+	ready, woken := false, false
+	w.Spawn(&wg, func() {
+		mu.Lock()
+		for !ready {
+			c.Wait()
+		}
+		woken = true
+		mu.Unlock()
+	})
+	v.Sleep(time.Millisecond) // the waiter parks
+	mu.Lock()
+	ready = true
+	c.Signal()
+	c.Signal() // the one waiter already has a grant pending
+	mu.Unlock()
+	if n := v.pendingGrants(); n != 1 {
+		t.Fatalf("%d grants pending for one waiter, want 1", n)
+	}
+	Join(v, &wg)
+	if !woken {
+		t.Fatal("signalled waiter never resumed")
+	}
+}
+
+// TestWakeupWall: on the wall clock the same primitives work without any
+// participant accounting.
+func TestWakeupWall(t *testing.T) {
+	var w Wakeup
+	w.Init(Wall{}, 0)
+	var wg sync.WaitGroup
+	w.Spawn(&wg, func() { w.Wait(-1, nil) })
+	w.Notify(true)
+	Join(Wall{}, &wg)
+	start := time.Now()
+	w.Wait(time.Millisecond, nil)
+	if time.Since(start) < time.Millisecond {
+		t.Fatal("Wall Wait returned before its deadline")
+	}
 }
