@@ -24,18 +24,16 @@ import (
 //
 // The contract is bit-identical behavior: a trial run through an arena must
 // produce exactly the trace, oracle reports, and coverage digest the same
-// trial produces in a freshly built world. Three things make that hold:
+// trial produces in a freshly built world. Two things make that hold:
 //
 //   - every reset restores the exact post-construction state (seeding a
 //     frand source restores exactly its post-construction state; the virtual
-//     clock rewinds to the epoch with the loop's registration standing;
+//     clock rewinds to the epoch with an empty run queue and no deadlines;
 //     sequence counters rewind to zero);
-//   - clock run grants are re-issued at the same program points as fresh
-//     construction (the pool's workers respawn when the trial acquires the
-//     loop, the network engine respawns when it acquires the network), so
-//     the virtual run order is identical;
-//   - role identifiers are reused, never re-numbered mid-queue, so grant
-//     matching is invariant.
+//   - participants respawn at the same program points as fresh construction
+//     (the pool's workers when the trial acquires the loop, the network
+//     engine when it acquires the network): under the virtual clock spawn
+//     order is run order, so the virtual run order is identical.
 //
 // An Arena is virtual-time only (resetting wall time is not a thing) and
 // single-threaded: one trial at a time, Begin before each. The campaign
@@ -110,9 +108,9 @@ func (a *Arena) Begin(cfg RunConfig) RunConfig {
 	}
 	if a.loop != nil {
 		// Tear down what the trial left running, then rewind. Close joins
-		// the delivery goroutine (idempotent when the app already closed
-		// the network), so after it nothing but the loop's own registration
-		// is parked on the clock — the state clk.Reset restores.
+		// the delivery engine (idempotent when the app already closed the
+		// network), so after it every participant has exited — the state
+		// clk.Reset expects.
 		if a.net != nil {
 			a.net.Close()
 		}
@@ -132,8 +130,8 @@ func (a *Arena) Begin(cfg RunConfig) RunConfig {
 
 // Discard drops the resident world so the next Begin builds a fresh one —
 // the escape hatch after a trial panicked mid-run and left the world in an
-// unknown state. Goroutines the dead world leaked stay parked on the old
-// clock, exactly as a panicked fresh-world trial leaks them.
+// unknown state. The dead world's participants stay abandoned on the old
+// clock, exactly as a panicked fresh-world trial abandons them.
 func (a *Arena) Discard() {
 	a.loop = nil
 	a.net = nil

@@ -81,7 +81,7 @@ func SetVirtualTime(on bool) { virtualTime.Store(on) }
 
 // TrialClock returns the clock a new trial's RunConfig should carry: a fresh
 // virtual clock when virtual time is enabled (each trial needs its own — a
-// clock's participant accounting is per trial), nil (wall time) otherwise.
+// clock's run queue and deadlines are per trial), nil (wall time) otherwise.
 func TrialClock() vclock.Clock {
 	if virtualTime.Load() {
 		return vclock.NewVirtual()

@@ -185,9 +185,9 @@ func repElectRun(cfg RunConfig, fixed bool) Outcome {
 				out.Note = "cluster did not converge"
 			}
 			rc.kv.Close()
-			// End the trial while this callback still holds the run token:
-			// the nodes stop at this schedule-determined instant, so the
-			// decision trace ends identically on every replay (see
+			// End the trial from this control-loop callback: the nodes
+			// stop at this schedule-determined instant, so the decision
+			// trace ends identically on every replay (see
 			// cluster.Shutdown).
 			rc.cl.Shutdown()
 		})

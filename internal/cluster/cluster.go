@@ -13,17 +13,16 @@
 //	cl.Heal()
 //
 // Concurrency model: every mutating call (Kill, Restart, Partition, Heal)
-// must run from a unit that holds the trial's run token — in practice a
-// control-loop callback, or the main goroutine before the control loop runs.
-// Under virtual time that is enforced by the clock's grant protocol; under
-// wall time the same discipline (one control loop scripting faults) keeps
-// the calls serialized. Join runs on the goroutine that ran the control
-// loop, after its Run returned.
+// must run from the control loop — in practice a control-loop callback, or
+// the main goroutine before the control loop runs. Under virtual time every
+// loop's step runs on the goroutine driving the clock, so the calls cannot
+// interleave with a node's callbacks; under wall time the same discipline
+// (one control loop scripting faults) keeps the calls serialized. Join runs
+// on the goroutine that ran the control loop, after its Run returned.
 package cluster
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"nodefz/internal/eventloop"
@@ -42,8 +41,8 @@ type Config struct {
 	// Net is the trial's network, shared with the control loop.
 	Net *simnet.Network
 	// NewLoop builds one node's event loop on the trial clock — in the bug
-	// corpus, bugs.RunConfig.NewNodeLoop. It is called with the run token
-	// held (New and Restart both require that of their caller).
+	// corpus, bugs.RunConfig.NewNodeLoop. It is called from the control
+	// loop (New and Restart both require that of their caller).
 	NewLoop func() *eventloop.Loop
 	// Setup installs the node's application — listeners, timers, handlers —
 	// on a freshly built (or rebuilt) node before its loop starts. It runs
@@ -95,7 +94,7 @@ type node struct {
 type Cluster struct {
 	cfg   Config
 	nodes []*node
-	wg    sync.WaitGroup
+	group vclock.Group // every node loop ever spawned
 	// parts is the active partition by node id (nil = healed), kept so a
 	// restart — whose fresh loop pointer the network has never seen — can
 	// re-apply it.
@@ -103,7 +102,7 @@ type Cluster struct {
 }
 
 // New builds the group's durable disks and boots every node. The caller
-// must hold the run token (main during setup, or a control-loop callback).
+// must be the control loop (main during setup, or a control-loop callback).
 func New(cfg Config) *Cluster {
 	c := &Cluster{cfg: cfg, nodes: make([]*node, cfg.Nodes)}
 	for i := range c.nodes {
@@ -123,7 +122,7 @@ func (c *Cluster) boot(nd *node) {
 		l.SetTimeoutNamed("watchdog", c.cfg.Watchdog, func() { l.Stop() }).Unref()
 	}
 	c.applyPartition()
-	l.Go(&c.wg)
+	l.Go(&c.group)
 }
 
 // Alive reports whether node id is currently running.
@@ -196,14 +195,11 @@ func (c *Cluster) applyPartition() {
 }
 
 // Shutdown stops every node still alive the way Kill stops one, without
-// waiting for the runners to exit. Under virtual time a deterministic trial
-// MUST end through Shutdown, called from a control-loop callback while that
-// callback holds the run token (the detector's verdict callback is the
-// natural place): the nodes then stop at a schedule-determined virtual
-// instant. Ending the trial by letting the control loop's Run return first
-// is not replayable — once Run's teardown begins, the control goroutine
-// races the node loops' virtual advances in wall time, and whatever instant
-// Join then lands on truncates the decision trace nondeterministically.
+// waiting for the node loops to finish. A trial should end through
+// Shutdown, called from a control-loop callback (the detector's verdict
+// callback is the natural place): the nodes then stop at a
+// schedule-determined virtual instant, the same under every clock
+// discipline, rather than whenever the control loop happens to drain.
 func (c *Cluster) Shutdown() {
 	for _, nd := range c.nodes {
 		if !nd.alive {
@@ -218,11 +214,11 @@ func (c *Cluster) Shutdown() {
 }
 
 // Join ends the trial's node side: Shutdown (a no-op when the detector
-// already shut the group down) followed by a wait for all node runners to
-// exit. Call it from the goroutine that ran the control loop, after that
-// Run returned (it still holds the trial's run token, which Join parks
-// while waiting so the remaining nodes can drain).
+// already shut the group down) followed by a wait for every node loop to
+// finish. Call it from the goroutine that ran the control loop, after that
+// Run returned; under virtual time it drives the clock until the remaining
+// nodes have drained.
 func (c *Cluster) Join() {
 	c.Shutdown()
-	vclock.Join(c.nodes[0].loop.Clock(), &c.wg)
+	vclock.Join(c.nodes[0].loop.Clock(), &c.group)
 }

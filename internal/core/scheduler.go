@@ -96,17 +96,11 @@ func (s *Scheduler) Decisions() DecisionCounters { return s.dec.snapshot() }
 func (s *Scheduler) Name() string { return s.name }
 
 // Serialize implements eventloop.Scheduler: Node.fz serializes callback
-// executions between the event loop and the worker pool so it can be
-// completely certain about their relative order (§4.3.3, relied on in
-// §5.3's schedule reconstruction).
+// executions between the event loop and its one real worker, whose
+// siblings the task-queue lookahead simulates, so it can be completely
+// certain about their relative order (§4.3.3, relied on in §5.3's schedule
+// reconstruction).
 func (s *Scheduler) Serialize() bool { return true }
-
-// DemuxDone implements eventloop.Scheduler.
-func (s *Scheduler) DemuxDone() bool { return true }
-
-// PoolSize implements eventloop.Scheduler: one real worker; multiple
-// workers are simulated by the task-queue lookahead.
-func (s *Scheduler) PoolSize(int) int { return 1 }
 
 // chance reports true with probability pct/100.
 func (s *Scheduler) chance(pct int) bool {

@@ -73,12 +73,6 @@ func TestSchedulerArchitecture(t *testing.T) {
 	if !s.Serialize() {
 		t.Error("fuzzer must serialize callbacks")
 	}
-	if !s.DemuxDone() {
-		t.Error("fuzzer must demultiplex the done queue")
-	}
-	if s.PoolSize(8) != 1 {
-		t.Error("fuzzer must force pool size 1")
-	}
 	if s.Name() != "nodeFZ" {
 		t.Errorf("Name = %q", s.Name())
 	}

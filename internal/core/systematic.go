@@ -66,12 +66,6 @@ func (s *SystematicScheduler) Name() string { return "nodeFZ(systematic)" }
 // Serialize implements eventloop.Scheduler.
 func (s *SystematicScheduler) Serialize() bool { return true }
 
-// DemuxDone implements eventloop.Scheduler.
-func (s *SystematicScheduler) DemuxDone() bool { return true }
-
-// PoolSize implements eventloop.Scheduler.
-func (s *SystematicScheduler) PoolSize(int) int { return 1 }
-
 // WaitPolicy implements eventloop.Scheduler: like the standard
 // parameterization, give the lone worker a lookahead window.
 func (s *SystematicScheduler) WaitPolicy() (int, time.Duration, time.Duration) {

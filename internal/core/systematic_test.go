@@ -28,8 +28,8 @@ func TestSystematicNoDelaysIsNoFuzz(t *testing.T) {
 	if s.PickTask(5) != 0 {
 		t.Fatal("pick perturbed without delays")
 	}
-	if !s.Serialize() || !s.DemuxDone() || s.PoolSize(9) != 1 {
-		t.Fatal("architecture flags wrong")
+	if !s.Serialize() {
+		t.Fatal("systematic scheduler does not serialize")
 	}
 }
 

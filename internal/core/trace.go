@@ -230,12 +230,6 @@ func (r *RecordingScheduler) Name() string { return r.inner.Name() + "(recorded)
 // Serialize implements eventloop.Scheduler.
 func (r *RecordingScheduler) Serialize() bool { return r.inner.Serialize() }
 
-// DemuxDone implements eventloop.Scheduler.
-func (r *RecordingScheduler) DemuxDone() bool { return r.inner.DemuxDone() }
-
-// PoolSize implements eventloop.Scheduler.
-func (r *RecordingScheduler) PoolSize(requested int) int { return r.inner.PoolSize(requested) }
-
 // WaitPolicy implements eventloop.Scheduler.
 func (r *RecordingScheduler) WaitPolicy() (int, time.Duration, time.Duration) {
 	return r.inner.WaitPolicy()
@@ -368,12 +362,6 @@ func (r *ReplayScheduler) Name() string { return r.base.Name() + "(replay)" }
 
 // Serialize implements eventloop.Scheduler.
 func (r *ReplayScheduler) Serialize() bool { return r.base.Serialize() }
-
-// DemuxDone implements eventloop.Scheduler.
-func (r *ReplayScheduler) DemuxDone() bool { return r.base.DemuxDone() }
-
-// PoolSize implements eventloop.Scheduler.
-func (r *ReplayScheduler) PoolSize(requested int) int { return r.base.PoolSize(requested) }
 
 // WaitPolicy implements eventloop.Scheduler.
 func (r *ReplayScheduler) WaitPolicy() (int, time.Duration, time.Duration) {

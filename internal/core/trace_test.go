@@ -13,8 +13,8 @@ func TestRecordingCapturesDecisions(t *testing.T) {
 	if rec.Name() != "nodeFZ(recorded)" {
 		t.Errorf("name = %q", rec.Name())
 	}
-	if !rec.Serialize() || !rec.DemuxDone() || rec.PoolSize(8) != 1 {
-		t.Error("architecture flags not forwarded")
+	if !rec.Serialize() {
+		t.Error("Serialize not forwarded")
 	}
 	evs := mkEvents(6)
 	run, deferred := rec.ShuffleReady(evs, nil, nil)

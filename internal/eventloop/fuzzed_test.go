@@ -5,6 +5,7 @@ package eventloop_test
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -149,5 +150,62 @@ func TestSerializedNoOverlap(t *testing.T) {
 	runFuzzed(t, l)
 	if overlap.Load() {
 		t.Fatal("a worker task ran while a loop callback was executing")
+	}
+}
+
+// doneLabels records the labels of executed work-done callbacks.
+type doneLabels struct {
+	mu     sync.Mutex
+	labels []string
+}
+
+func (r *doneLabels) Record(kind, label string) {
+	if kind == eventloop.KindWorkDone {
+		r.mu.Lock()
+		r.labels = append(r.labels, label)
+		r.mu.Unlock()
+	}
+}
+
+// TestSerializeShapesThePool: Serialize alone decides the pool New builds.
+// A serializing scheduler gets one worker whatever PoolSize asks, and each
+// completion is its own poll event; the vanilla scheduler gets the
+// requested workers, running at once, behind the multiplexed done queue.
+func TestSerializeShapesThePool(t *testing.T) {
+	const tasks = 4
+	for _, s := range []eventloop.Scheduler{core.NewScheduler(core.StandardParams(), 3), eventloop.VanillaScheduler{}} {
+		rec := &doneLabels{}
+		l := eventloop.New(eventloop.Options{Scheduler: s, Recorder: rec, PoolSize: tasks})
+		var started, busy, peak atomic.Int64
+		for i := 0; i < tasks; i++ {
+			l.QueueWork("w", func() (any, error) {
+				n := busy.Add(1)
+				for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+				}
+				started.Add(1)
+				// Vanilla workers all run at once: wait for the siblings.
+				for deadline := time.Now().Add(5 * time.Second); !s.Serialize() && started.Load() < tasks && time.Now().Before(deadline); {
+					time.Sleep(100 * time.Microsecond)
+				}
+				busy.Add(-1)
+				return nil, nil
+			}, nil)
+		}
+		runFuzzed(t, l)
+		if s.Serialize() {
+			if peak.Load() != 1 {
+				t.Errorf("%s: %d tasks ran at once, want 1", s.Name(), peak.Load())
+			}
+			if len(rec.labels) != tasks || rec.labels[0] != "w" {
+				t.Errorf("%s: done callbacks %v, want one per task", s.Name(), rec.labels)
+			}
+			continue
+		}
+		if peak.Load() != tasks {
+			t.Errorf("%s: %d tasks ran at once, want %d", s.Name(), peak.Load(), tasks)
+		}
+		if len(rec.labels) == 0 || rec.labels[0] != "done-queue" {
+			t.Errorf("%s: done callbacks %v, want the multiplexed done queue", s.Name(), rec.labels)
+		}
 	}
 }

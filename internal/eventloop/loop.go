@@ -46,7 +46,7 @@ type Options struct {
 	// Recorder captures the type schedule. Nil disables recording.
 	Recorder Recorder
 	// PoolSize is the requested worker-pool size (like UV_THREADPOOL_SIZE,
-	// default 4). The scheduler may override it; the fuzzer forces 1.
+	// default 4). A serializing scheduler (the fuzzer) overrides it with 1.
 	PoolSize int
 	// Metrics is the registry the loop (and its worker pool) records
 	// per-phase counts, durations, and queue depths into. Nil creates a
@@ -119,10 +119,11 @@ type Loop struct {
 	lean bool
 
 	mu sync.Mutex
-	// wake is the loop's poll wakeup. Only a token posted while the loop is
-	// inside poll's blocking wait carries a run grant (see wakeup).
-	wake        vclock.Wakeup
-	pollBlocked bool        // loop is inside poll's blocking wait; guarded by mu
+	// proc is the loop as a clock participant; its step is step. Only a
+	// notify posted while the loop is inside poll's wait carries a run
+	// grant (see wakeup).
+	proc        vclock.Proc
+	pollBlocked bool        // loop is inside poll's wait; guarded by mu
 	pending     []*Event    // ready events (the "epoll results")
 	deferred    []*Event    // events the scheduler pushed to the next iteration
 	refs        int         // live handles + outstanding work
@@ -155,6 +156,13 @@ type Loop struct {
 	// these keep its ShuffleReady output off the heap.
 	runInline, defInline [8]*Event
 
+	// The step's resume point: at says how the next step starts, and phase
+	// indexes phaseOrder within the current iteration (len(phaseOrder)
+	// between iterations).
+	at      int
+	phase   int
+	phaseT0 time.Time // when the current phase began (timed runs only)
+
 	phaseHandles map[PhaseKind][]*PhaseHandle
 
 	pool    *pool.Pool
@@ -170,7 +178,6 @@ type Loop struct {
 	reg      *metrics.Registry
 	phaseCB  [numPhases]*metrics.Counter
 	phaseNS  [numPhases]*metrics.Histogram
-	phaseFns [numPhases]func()
 	curPhase int
 	atExit   []func()
 
@@ -236,42 +243,25 @@ func New(opts Options) *Loop {
 		reg:          opts.Metrics,
 	}
 	l.runScratch, l.defScratch = l.runInline[:0], l.defInline[:0]
-	// The loop enters the clock before the pool spawns its workers: as the
-	// first participant it takes the virtual run token, so pre-Run setup
-	// (registering timers from the caller's goroutine, which becomes the
-	// loop goroutine) runs before any worker gets a turn and can never race
-	// a virtual advance.
-	l.wake.Init(l.clk, 0)
-	l.wake.Enter()
+	l.proc.Init(l.clk, 0, l.step)
 	for p := 0; p < numPhases; p++ {
 		l.phaseCB[p] = l.reg.Counter("loop.phase." + phaseNames[p] + ".callbacks")
 		l.phaseNS[p] = l.reg.Histogram("loop.phase."+phaseNames[p]+".ns", metrics.DurationBounds())
 	}
-	l.phaseFns = [numPhases]func(){
-		phTicks:   l.drainTicks,
-		phTimers:  l.runTimers,
-		phPending: l.runPendingPhase,
-		phIdle:    l.runIdlePhase,
-		phPrepare: l.runPreparePhase,
-		phPoll:    l.poll,
-		phCheck:   l.runCheckPhase,
-		phClose:   l.runClosing,
-	}
-	if l.sched.Serialize() {
+	// Serialized mode (§4.3.3): callbacks and tasks exclude each other, one
+	// worker runs the tasks, and each completion is its own poll event.
+	serialize := l.sched.Serialize()
+	size, workLock := opts.PoolSize, sync.Locker(nil)
+	l.runLock = nopLocker{}
+	if serialize {
 		l.runLock = &sync.Mutex{}
-	} else {
-		l.runLock = nopLocker{}
-	}
-	size := l.sched.PoolSize(opts.PoolSize)
-	var workLock sync.Locker
-	if l.sched.Serialize() {
-		workLock = l.runLock
+		size, workLock = 1, l.runLock
 	}
 	l.pool = pool.New(pool.Config{
 		Size:    size,
 		Picker:  l.sched,
 		RunLock: workLock,
-		Demux:   l.sched.DemuxDone(),
+		Demux:   serialize,
 		Metrics: l.reg,
 		Lean:    lean,
 		Clock:   l.clk,
@@ -334,63 +324,127 @@ var ErrAlreadyRunning = errors.New("eventloop: loop already running")
 
 // Run executes the loop until no live handles or queued work remain, or
 // until Stop is called, then shuts the worker pool down. It must not be
-// called concurrently with itself.
+// called concurrently with itself. Under a virtual clock the calling
+// goroutine runs every participant on the clock meanwhile (see
+// vclock.Proc.Run), so Run must not be called from inside a callback.
 func (l *Loop) Run() error {
 	if l.running {
 		return ErrAlreadyRunning
 	}
-	l.running = true
-	defer func() { l.running = false }()
-	l.pool.Restart() // re-arm the workers when Run is called again
-
-	for l.alive() {
-		atomic.AddInt64(&l.stats.Iterations, 1)
-		// Each iteration walks phaseOrder: ticks queued outside any callback
-		// drain first (like process.nextTick from module scope), then
-		// timers, pending, idle, prepare, poll, timers again (§4.1), check,
-		// close. Every phase is timed into its duration histogram, and
-		// curPhase attributes executed callbacks to it.
-		if l.lean {
-			for _, p := range phaseOrder {
-				l.curPhase = p
-				l.phaseFns[p]()
-			}
-		} else {
-			for _, p := range phaseOrder {
-				l.curPhase = p
-				start := time.Now()
-				l.phaseFns[p]()
-				l.phaseNS[p].Observe(int64(time.Since(start)))
-			}
-		}
-	}
-	l.pool.Close()
-	l.foldStats()
-	for _, fn := range l.atExit {
-		fn()
-	}
+	l.running, l.at = true, atStart
+	l.proc.Run()
 	return nil
 }
 
-// Go runs the loop on its own goroutine — the spawn path for cluster nodes,
-// where several loops share one virtual clock and none of them may run on
-// the caller's goroutine. The caller (who, under a virtual clock, must
-// currently hold the run token — e.g. the main goroutine during setup, or a
-// loop callback spawning a node) spawns the loop as a clock participant,
-// which fixes its place in the virtual run order; the loop's goroutine takes
-// over the clock registration made in New and leaves the clock when Run
-// returns. wg (may be nil) is counted up now and marked done after that,
-// so vclock.Join on it waits for the loop to be gone from the clock.
+// Go spawns the loop as a participant of its clock, counted into g — the
+// path for cluster nodes, where several loops share one virtual clock. Under
+// a virtual clock the spawn fixes the loop's place in the run order and the
+// loop runs when the goroutine driving the clock gets there; vclock.Join on
+// g waits until it has finished. Under wall time it runs on a goroutine of
+// its own.
 //
 // All setup that must precede the first iteration — listeners, timers,
 // handlers — must happen before Go is called: under wall time the loop may
 // begin iterating immediately.
-func (l *Loop) Go(wg *sync.WaitGroup) {
-	l.wake.Spawn(wg, func() {
-		if err := l.Run(); err != nil {
-			panic(err)
+func (l *Loop) Go(g *vclock.Group) {
+	if l.running {
+		panic(ErrAlreadyRunning)
+	}
+	l.running, l.at = true, atStart
+	l.proc.Spawn(g)
+}
+
+// Resume points of the loop's step.
+const (
+	atStart = iota // Run or Go was just called
+	atPoll         // poll's wait is over
+	atDelay        // the timer phase's injected delay is over
+	atExit         // the worker pool has shut down
+)
+
+// step runs the loop until it must wait — in poll, for the timer phase's
+// injected delay, or for the worker pool to shut down at the end of Run —
+// and returns that wait; the next step resumes where this one stopped.
+//
+// Each iteration walks phaseOrder: ticks queued outside any callback drain
+// first (like process.nextTick from module scope), then timers, pending,
+// idle, prepare, poll, timers again (§4.1), check, close. Every phase is
+// timed into its duration histogram, and curPhase attributes executed
+// callbacks to it.
+func (l *Loop) step() vclock.Wait {
+	switch l.at {
+	case atStart:
+		l.pool.Restart() // re-arm the workers when Run is called again
+		l.phase = len(phaseOrder)
+	case atPoll:
+		l.exitPollWait()
+		l.poll()
+		l.endPhase()
+	case atDelay:
+		l.endPhase()
+	case atExit:
+		l.foldStats()
+		for _, fn := range l.atExit {
+			fn()
 		}
-	})
+		l.running = false
+		return vclock.Exit()
+	}
+	for {
+		if l.phase == len(phaseOrder) {
+			if !l.alive() {
+				l.at = atExit
+				return vclock.Await(l.pool.Shutdown())
+			}
+			atomic.AddInt64(&l.stats.Iterations, 1)
+			l.phase = 0
+		}
+		l.curPhase = phaseOrder[l.phase]
+		if !l.lean {
+			l.phaseT0 = time.Now()
+		}
+		switch l.curPhase {
+		case phTicks:
+			l.drainTicks()
+		case phTimers:
+			if d := l.runTimers(); d > 0 {
+				// The short-circuit's injected delay (§4.3.4). Under the
+				// virtual clock it advances simulated time instead of
+				// burning wall time.
+				l.at = atDelay
+				return vclock.Sleep(d)
+			}
+		case phPending:
+			l.runPendingPhase()
+		case phIdle:
+			l.runPhaseHandles(IdleHandle)
+		case phPrepare:
+			l.runPhaseHandles(PrepareHandle)
+		case phPoll:
+			if timeout := l.pollTimeout(); timeout != 0 {
+				if l.enterPollWait() {
+					l.at = atPoll
+					return vclock.After(timeout)
+				}
+				l.exitPollWait()
+			}
+			l.poll()
+		case phCheck:
+			l.runPhaseHandles(CheckHandle)
+			l.runImmediates()
+		case phClose:
+			l.runClosing()
+		}
+		l.endPhase()
+	}
+}
+
+// endPhase closes the current phase and moves to the next.
+func (l *Loop) endPhase() {
+	if !l.lean {
+		l.phaseNS[l.curPhase].Observe(int64(time.Since(l.phaseT0)))
+	}
+	l.phase++
 }
 
 // Reset re-arms a drained loop for another trial on the same clock,
@@ -432,9 +486,8 @@ func (l *Loop) Reset() {
 	l.pollBlocked = false
 	clear(l.locals)
 	l.mu.Unlock()
-	// Drop a wake left over from the trial's last moments; its grant went
-	// with the clock's own reset.
-	l.wake.Drain()
+	// Drop a wake left over from the trial's last moments.
+	l.proc.Drain()
 	clear(l.timers)
 	l.timers = l.timers[:0]
 	l.timerSeq = 0
@@ -449,11 +502,11 @@ func (l *Loop) Reset() {
 	l.pool.Reset()
 }
 
-// RestartPool re-arms the worker pool of a Reset loop, re-issuing the
-// workers' clock grants. Run restarts a closed pool too, but a trial arena
-// must spawn the workers at loop-acquisition time — before the trial's
-// network engine spawns — so the virtual run-grant order matches a freshly
-// built world, where New itself starts the pool.
+// RestartPool re-arms the worker pool of a Reset loop, respawning the
+// workers. Run restarts a closed pool too, but a trial arena must spawn the
+// workers at loop-acquisition time — before the trial's network engine
+// spawns — so the virtual run order matches a freshly built world, where
+// New itself starts the pool.
 func (l *Loop) RestartPool() { l.pool.Restart() }
 
 // AtExit registers fn to run after the loop drains and the pool shuts down,
@@ -462,15 +515,6 @@ func (l *Loop) RestartPool() { l.pool.Restart() }
 // registration order on the Run caller's goroutine, once per Run.
 func (l *Loop) AtExit(fn func()) {
 	l.atExit = append(l.atExit, fn)
-}
-
-// runIdlePhase, runPreparePhase, and runCheckPhase adapt the phases to the
-// uniform phaseFns signature; check covers check handles plus immediates.
-func (l *Loop) runIdlePhase()    { l.runPhaseHandles(IdleHandle) }
-func (l *Loop) runPreparePhase() { l.runPhaseHandles(PrepareHandle) }
-func (l *Loop) runCheckPhase() {
-	l.runPhaseHandles(CheckHandle)
-	l.runImmediates()
 }
 
 // foldStats mirrors the Stats counters into the metrics registry as gauges
@@ -534,18 +578,16 @@ func (l *Loop) unref() {
 }
 
 func (l *Loop) wakeup() {
-	// A wake aimed at a poll-blocked loop must carry a virtual-clock run
-	// grant: the grant vetoes advances until the loop consumes it (so the
-	// poll timer can never become ready concurrently and the wait stays
-	// deterministic) and fixes the loop's position in the run order
-	// relative to other pending wakes. A wake sent while the loop is
-	// anywhere else needs no grant — the loop will notice the queued work
-	// via pollTimeout before it ever blocks again — and MUST not carry one:
-	// an unclaimed grant would wedge the clock. Reading pollBlocked and
-	// posting under l.mu makes the flag/token pairing atomic against poll's
-	// own transitions.
+	// A wake aimed at a loop waiting in poll carries a run grant, which
+	// gives the loop its place in the virtual run order. A wake sent while
+	// the loop is anywhere else needs none — the loop notices the queued
+	// work via pollTimeout before it waits again — and must not carry one:
+	// the loop may be sleeping out an injected delay or awaiting its pool,
+	// which no notify may cut short. Reading pollBlocked and posting under
+	// l.mu makes the flag/token pairing atomic against poll's own
+	// transitions under wall time.
 	l.mu.Lock()
-	l.wake.Notify(l.pollBlocked)
+	l.proc.Notify(l.pollBlocked)
 	l.mu.Unlock()
 }
 
@@ -604,10 +646,7 @@ func (l *Loop) executeUnit(kind, label string, ref oracle.Ref, key any, cb func(
 func (l *Loop) runUnit(phase int, kind, label string, key any, ref, xref oracle.Ref, cb func()) oracle.Ref {
 	atomic.AddInt64(&l.stats.Callbacks, 1)
 	l.phaseCB[phase].Inc()
-	// Under the virtual clock a contended run lock means a worker holds it,
-	// possibly while charging simulated I/O latency; LockBlocking counts the
-	// wait as blocked so the clock can advance past that latency.
-	vclock.LockBlocking(l.clk, l.runLock)
+	l.runLock.Lock()
 	l.rec.Record(kind, label)
 	if l.depth.Add(1) != 1 {
 		panic("eventloop: overlapping loop callbacks")
@@ -689,10 +728,10 @@ func (l *Loop) addTimer(d, period time.Duration, label string, cb func()) *Timer
 
 // runTimers executes due timers in {deadline, registration} order, giving
 // the scheduler the chance to defer a suffix of them (short-circuit,
-// §4.3.4) with an injected delay.
-func (l *Loop) runTimers() {
+// §4.3.4). It returns the injected delay the loop must then sleep, or 0.
+func (l *Loop) runTimers() time.Duration {
 	if l.isStopped() {
-		return
+		return 0
 	}
 	now := l.clk.Now()
 	due := l.dueScratch[:0]
@@ -701,7 +740,7 @@ func (l *Loop) runTimers() {
 	}
 	l.dueScratch = due
 	if len(due) == 0 {
-		return
+		return 0
 	}
 	run, delay := l.sched.FilterTimers(len(due))
 	if run > len(due) {
@@ -721,11 +760,10 @@ func (l *Loop) runTimers() {
 	}
 	clear(due)
 	l.dueScratch = due[:0]
-	if run < len(due) && delay > 0 {
-		// The short-circuit's injected delay (§4.3.4). Under the virtual
-		// clock this advances simulated time instead of burning wall time.
-		l.clk.Sleep(delay)
+	if run < len(due) {
+		return delay
 	}
+	return 0
 }
 
 func (l *Loop) fireTimer(t *Timer) {
@@ -802,14 +840,10 @@ func (l *Loop) timeInPoll() time.Duration {
 	return time.Duration(l.clk.Now().UnixNano() - start)
 }
 
-// poll blocks for ready events (bounded by the next timer deadline and by
-// pending immediates), then lets the scheduler shuffle and defer the ready
-// list before executing it (§4.3.2).
+// poll runs the ready events once the step has waited for them (bounded by
+// the next timer deadline and by pending immediates): the scheduler
+// shuffles and defers the ready list before the loop executes it (§4.3.2).
 func (l *Loop) poll() {
-	timeout := l.pollTimeout()
-	if timeout != 0 {
-		l.pollWait(timeout)
-	}
 	if l.isStopped() {
 		return
 	}
@@ -872,13 +906,10 @@ func (l *Loop) poll() {
 	l.recycleEvents(run[:done])
 }
 
-// pollWait parks the loop until a wakeup arrives or timeout elapses
-// (timeout < 0 blocks indefinitely). The invariant it maintains for the
-// virtual clock: while the loop sits in the blocking wait, any token in
-// l.wake carries a run grant, and an unclaimed grant vetoes advances — so
-// the bounding timer can never become ready at the same moment as a token
-// and the wait is deterministic.
-func (l *Loop) pollWait(timeout time.Duration) {
+// enterPollWait starts poll's wait and reports whether the loop must
+// actually wait (the step then returns an After bounded by the poll
+// timeout): while it waits, every notify it gets carries a run grant.
+func (l *Loop) enterPollWait() bool {
 	l.mu.Lock()
 	l.pollBlocked = true
 	l.mu.Unlock()
@@ -886,22 +917,21 @@ func (l *Loop) pollWait(timeout time.Duration) {
 	// Workers waiting out the lookahead window bound their wait by how long
 	// we sit in poll; tell them the clock just started.
 	l.pool.PokeWaiters()
+	// A token sent before pollBlocked became visible carries no grant.
+	// Swallowing it here — and skipping the wait, since a wakeup means there
+	// is work — keeps every token seen by the wait granted.
+	return !l.proc.Drain()
+}
 
-	// Entry drain: a token sent before pollBlocked became visible carries no
-	// grant (and an unconsumed one from a previous poll may carry a stale
-	// one). Swallowing it here — and skipping the blocking wait, since a
-	// wakeup means there is work — re-establishes the invariant above.
-	if !l.wake.Drain() {
-		l.wake.Wait(timeout, nil)
-	}
-
+// exitPollWait ends poll's wait. A token posted after the wait ended (a
+// wall-time wakeup racing the deadline, or a second notify queued behind
+// the one that ended it) must not survive into the phases below: its run
+// grant would run the loop again for work that is already queued.
+func (l *Loop) exitPollWait() {
 	l.mu.Lock()
 	l.pollBlocked = false
 	l.mu.Unlock()
-	// Exit drain: a granted token that raced a timer-driven exit must not
-	// survive into the phases below — its unclaimed grant would wedge the
-	// clock. The work it announced is already queued.
-	l.wake.Drain()
+	l.proc.Drain()
 	l.pollStart.Store(0)
 }
 

@@ -41,19 +41,15 @@ type Scheduler interface {
 	// Name identifies the scheduler in reports ("nodeV", "nodeFZ", ...).
 	Name() string
 
-	// Serialize reports whether loop callbacks and worker-pool task
-	// executions must be mutually exclusive (§4.3.3, first step).
+	// Serialize reports whether the loop runs in Node.fz's serialized mode
+	// (§4.3.3): loop callbacks and worker-pool task executions are mutually
+	// exclusive, a single worker runs the tasks (multiple workers are
+	// simulated by the lookahead), and each completed task is delivered as
+	// its own poll event. When false the pool has the requested number of
+	// workers, running concurrently with callbacks, and the done queue is
+	// multiplexed as in stock libuv: one wakeup drains every completed task
+	// consecutively.
 	Serialize() bool
-
-	// DemuxDone reports whether each completed worker-pool task is delivered
-	// as its own poll event (§4.3.3, third step). When false the done queue
-	// is multiplexed as in stock libuv: one wakeup drains every completed
-	// task consecutively.
-	DemuxDone() bool
-
-	// PoolSize maps the application-requested worker count to the effective
-	// one (the fuzzer forces 1 and simulates multiple workers via lookahead).
-	PoolSize(requested int) int
 
 	// FilterTimers is given the number of timers currently due, in
 	// {timeout, registration time} order, and returns how many of them to

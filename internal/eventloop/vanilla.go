@@ -21,12 +21,6 @@ func (VanillaScheduler) Name() string { return "nodeV" }
 // Serialize implements Scheduler.
 func (VanillaScheduler) Serialize() bool { return false }
 
-// DemuxDone implements Scheduler.
-func (VanillaScheduler) DemuxDone() bool { return false }
-
-// PoolSize implements Scheduler.
-func (VanillaScheduler) PoolSize(requested int) int { return requested }
-
 // FilterTimers implements Scheduler: every due timer runs.
 func (VanillaScheduler) FilterTimers(due int) (int, time.Duration) { return due, 0 }
 

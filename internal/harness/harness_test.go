@@ -28,8 +28,8 @@ func TestSchedulerForModes(t *testing.T) {
 		t.Error("vanilla scheduler serializes")
 	}
 	for _, m := range []Mode{ModeNFZ, ModeFZ, ModeGuided} {
-		if s := SchedulerFor(m, 1); !s.Serialize() || !s.DemuxDone() {
-			t.Errorf("%v: fuzzer architecture flags wrong", m)
+		if s := SchedulerFor(m, 1); !s.Serialize() {
+			t.Errorf("%v: fuzzer scheduler does not serialize", m)
 		}
 	}
 	if len(Fig6Modes()) != 3 {

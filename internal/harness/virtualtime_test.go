@@ -1,7 +1,9 @@
 package harness
 
 import (
+	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -150,5 +152,54 @@ func TestWallModeRegression(t *testing.T) {
 	// must actually spend that time (a virtual trial finishes in microseconds).
 	if elapsed < 2*time.Millisecond {
 		t.Fatalf("wall-mode trial took %v — waits did not consume real time", elapsed)
+	}
+}
+
+// goroutineProbe is a Recorder that samples the process's goroutine count
+// at every callback and task a trial runs.
+type goroutineProbe struct{ max, samples int }
+
+func (p *goroutineProbe) Record(string, string) {
+	p.samples++
+	p.max = max(p.max, runtime.NumGoroutine())
+}
+
+// TestVirtualTrialsRunOnOneGoroutine: a virtual trial runs every
+// participant — loops, pool workers, the network engine — on the goroutine
+// that runs the app, so no trial ever adds a goroutine. Every registry app
+// runs under nodeV and nodeFZ on a fresh virtual clock, and SIO and
+// REP-elect also run through an arena.
+func TestVirtualTrialsRunOnOneGoroutine(t *testing.T) {
+	check := func(name string, probe *goroutineProbe, trial func()) {
+		t.Helper()
+		probe.max, probe.samples = 0, 0
+		before := runtime.NumGoroutine()
+		trial()
+		if probe.samples == 0 {
+			t.Errorf("%s: the trial recorded nothing", name)
+		}
+		if probe.max > before {
+			t.Errorf("%s: %d goroutines inside the trial, %d before it", name, probe.max, before)
+		}
+	}
+	for _, app := range bugs.All() {
+		for _, mode := range []Mode{ModeVanilla, ModeFZ} {
+			probe := &goroutineProbe{}
+			check(app.Abbr+"/"+mode.String(), probe, func() {
+				app.Run(bugs.RunConfig{Seed: 7, Scheduler: SchedulerFor(mode, 7), Recorder: probe, Clock: vclock.NewVirtual()})
+			})
+		}
+	}
+	for _, abbr := range []string{"SIO", "REP-elect"} {
+		app := bugs.ByAbbr(abbr)
+		arena := bugs.NewArena(false)
+		s := core.NewScheduler(core.StandardParams(), 0)
+		probe := &goroutineProbe{}
+		for seed := int64(1); seed <= 3; seed++ {
+			s.Reseed(core.StandardParams(), seed)
+			check(fmt.Sprintf("arena/%s/seed%d", abbr, seed), probe, func() {
+				app.Run(arena.Begin(bugs.RunConfig{Seed: seed, Scheduler: s, Recorder: probe}))
+			})
+		}
 	}
 }

@@ -1,6 +1,8 @@
 // Package pool implements the libuv-style worker pool: a task queue consumed
-// by worker goroutines, each completed task landing on a done queue whose
-// completion callback runs on the event loop (paper §2.2, §4.2.3).
+// by workers, each completed task landing on a done queue whose completion
+// callback runs on the event loop (paper §2.2, §4.2.3). Workers are clock
+// participants (vclock.Proc): goroutines under wall time, steps run by the
+// goroutine driving a virtual clock.
 //
 // Two behaviours matter for schedule fuzzing (§4.3.3):
 //
@@ -27,11 +29,11 @@ import (
 )
 
 // Task is one unit of work offloaded to the pool, like a libuv uv_work_t:
-// Fn runs on a worker goroutine, Done runs on the event loop afterwards.
+// Fn runs on a worker, Done runs on the event loop afterwards.
 type Task struct {
 	// Name labels the task in schedules and scheduler decisions.
 	Name string
-	// Fn is the work function, executed on a worker goroutine.
+	// Fn is the work function, executed by a worker.
 	Fn func() (any, error)
 	// Done is the completion callback, executed on the event loop with Fn's
 	// results. May be nil.
@@ -39,9 +41,9 @@ type Task struct {
 	// Latency is simulated service time charged to the worker (substrates
 	// use it to model disk or resolver delay). In wall mode it is slept
 	// inside the serialized region, exactly where substrates historically
-	// slept inside Fn; under a virtual clock it is charged before the run
-	// lock is taken, because a participant must never wait on the clock
-	// while holding a lock the loop needs.
+	// slept inside Fn; under a virtual clock the worker's step sleeps it
+	// before taking the run lock, because a step must never wait while
+	// holding a lock another step needs.
 	Latency time.Duration
 	// ORef is the oracle unit that submitted the task; the Done callback
 	// executes as a unit that happens-after it. Zero when the oracle is
@@ -75,7 +77,7 @@ func (FIFOPicker) WaitPolicy() (int, time.Duration, time.Duration) { return 1, 0
 
 // Config assembles a Pool.
 type Config struct {
-	// Size is the number of worker goroutines. Must be >= 1.
+	// Size is the number of workers. Must be >= 1.
 	Size int
 	// Picker supplies scheduling decisions; nil means FIFOPicker.
 	Picker Picker
@@ -108,37 +110,36 @@ type Config struct {
 	// The loop sets it when its own caller asked for no metrics.
 	Lean bool
 	// Clock is the pool's time source for the lookahead wait; the workers
-	// register as clock participants. Nil means vclock.Wall.
+	// are participants of it. Nil means vclock.Wall.
 	Clock vclock.Clock
 }
 
 // Pool is a worker pool. Create with New, feed with Submit, and shut down
-// with Close.
+// with Shutdown (from the owning loop's step) or Close.
 type Pool struct {
 	cfg Config
 
-	clk vclock.Clock
+	clk     vclock.Clock
+	virtual bool
 	// lean is set when the owner supplied no metrics registry: the
 	// histogram observations and the wall-clock task timing feeding them
 	// are skipped (the atomic counters remain), which removes two
 	// time.Now calls plus four histogram updates from every task.
 	lean bool
 
-	mu     sync.Mutex
-	queue  []*Task
-	doneq  []*Task // multiplexed done queue (Demux == false)
-	closed bool
-	wg     sync.WaitGroup
-	work   func() // p.worker, bound once for every spawn
+	mu      sync.Mutex
+	queue   []*Task
+	doneq   []*Task // multiplexed done queue (Demux == false)
+	closed  bool
+	workers []*worker
+	group   vclock.Group
 
-	// fill nudges a lookahead-waiting worker: the queue grew, the loop
-	// entered poll, or the pool is closing. Nudges carry a run grant and
-	// are posted only while fillWaiting (guarded by mu) counts a worker
-	// parked in the lookahead wait. The workers are spawned through fill,
-	// and idle ones park on cond, whose signals grant turns in fill's role.
-	fill        vclock.Wakeup
-	cond        vclock.Cond
-	fillWaiting int
+	// idle is the FIFO of workers parked for want of a task; a submit wakes
+	// the first. fill is the FIFO of workers waiting for the lookahead
+	// window to fill; each nudge (the queue grew, the loop entered poll)
+	// wakes the first. Every wake carries a run grant.
+	idle []*worker
+	fill []*worker
 
 	// stats, guarded by mu
 	executed int
@@ -153,7 +154,7 @@ type Pool struct {
 	mTaskNS     *metrics.Histogram // pool.task_ns: per-task execution time
 }
 
-// New starts the worker goroutines and returns the pool.
+// New spawns the workers and returns the pool.
 func New(cfg Config) *Pool {
 	if cfg.Size < 1 {
 		cfg.Size = 1
@@ -172,6 +173,7 @@ func New(cfg Config) *Pool {
 		cfg.Clock = vclock.Wall{}
 	}
 	p := &Pool{cfg: cfg, clk: cfg.Clock, lean: lean}
+	_, p.virtual = cfg.Clock.(*vclock.Virtual)
 	p.mSubmitted = cfg.Metrics.Counter("pool.tasks_submitted")
 	p.mExecuted = cfg.Metrics.Counter("pool.tasks_executed")
 	p.mBusyNS = cfg.Metrics.Counter("pool.busy_ns")
@@ -179,9 +181,12 @@ func New(cfg Config) *Pool {
 	p.mDoneDepth = cfg.Metrics.Histogram("pool.done_depth", metrics.DepthBounds())
 	p.mPickWindow = cfg.Metrics.Histogram("pool.pick_window", metrics.DepthBounds())
 	p.mTaskNS = cfg.Metrics.Histogram("pool.task_ns", metrics.DurationBounds())
-	p.fill.Init(p.clk, 1)
-	p.cond.Init(&p.fill, &p.mu)
-	p.work = p.worker
+	p.workers = make([]*worker, cfg.Size)
+	for i := range p.workers {
+		w := &worker{p: p}
+		w.proc.Init(p.clk, 1, w.step)
+		p.workers[i] = w
+	}
 	p.spawnWorkers()
 	return p
 }
@@ -193,9 +198,10 @@ func (p *Pool) Submit(t *Task) {
 	p.mu.Lock()
 	p.queue = append(p.queue, t)
 	depth := len(p.queue)
-	// Wake exactly one idle worker per submit, granting it a virtual-clock
-	// turn.
-	p.cond.Signal()
+	// Wake exactly one idle worker per submit.
+	if len(p.idle) > 0 {
+		wakeFirst(&p.idle)
+	}
 	p.pokeFillLocked()
 	p.mu.Unlock()
 	p.mSubmitted.Inc()
@@ -204,12 +210,22 @@ func (p *Pool) Submit(t *Task) {
 	}
 }
 
-// pokeFillLocked nudges a lookahead-waiting worker. Caller holds p.mu
-// (fillWaiting is stable).
+// pokeFillLocked nudges the first lookahead-waiting worker. Caller holds
+// p.mu.
 func (p *Pool) pokeFillLocked() {
-	if p.fillWaiting > 0 {
-		p.fill.Notify(true)
+	if len(p.fill) > 0 {
+		wakeFirst(&p.fill)
 	}
+}
+
+// wakeFirst removes the first worker of the FIFO q and wakes it with a run
+// grant.
+func wakeFirst(q *[]*worker) {
+	w := (*q)[0]
+	n := copy(*q, (*q)[1:])
+	(*q)[n] = nil
+	*q = (*q)[:n]
+	w.proc.Notify(true)
 }
 
 // PokeWaiters tells lookahead-waiting workers that the owning loop's state
@@ -235,25 +251,30 @@ func (p *Pool) Executed() int {
 	return p.executed
 }
 
-// Close stops the workers after the queue drains and waits for them to
-// exit. Completion events already posted to the loop are unaffected, and
-// Restart brings the pool back.
-func (p *Pool) Close() {
+// Shutdown stops the workers once the queue drains: it wakes every waiting
+// worker, with a run grant each, and returns the group the workers exit
+// from, for the owning loop's step to Await. Completion events already
+// posted to the loop are unaffected, and Restart brings the pool back.
+func (p *Pool) Shutdown() *vclock.Group {
 	p.mu.Lock()
 	p.closed = true
-	p.pokeFillLocked()
+	for len(p.fill) > 0 {
+		wakeFirst(&p.fill)
+	}
+	for len(p.idle) > 0 {
+		wakeFirst(&p.idle)
+	}
 	p.mu.Unlock()
-	p.cond.Broadcast()
-	// The shutdown wait counts as blocked on the clock: a stopped trial can
-	// leave a worker mid-way through charging virtual task latency, and the
-	// clock must stay free to advance it to completion. Close's only
-	// production caller is the loop's Run — a registered participant.
-	vclock.Join(p.clk, &p.wg)
+	return &p.group
 }
+
+// Close shuts the pool down and waits for the workers to exit. Call it
+// from outside any step.
+func (p *Pool) Close() { vclock.Join(p.clk, p.Shutdown()) }
 
 // Reset re-arms a closed pool for a new trial: the task and done queues are
 // truncated in place (keeping their backing arrays) and the counters
-// rewind. The caller must have Closed the pool — no worker goroutine alive —
+// rewind. The caller must have shut the pool down — every worker exited —
 // and owns resetting the shared metrics registry; Restart brings the
 // workers back.
 func (p *Pool) Reset() {
@@ -263,8 +284,9 @@ func (p *Pool) Reset() {
 	clear(p.doneq)
 	p.doneq = p.doneq[:0]
 	p.executed = 0
-	p.cond.Reset()
-	p.fill.Drain()
+	for _, w := range p.workers {
+		w.proc.Drain()
+	}
 	p.mu.Unlock()
 }
 
@@ -282,84 +304,101 @@ func (p *Pool) Restart() {
 	p.spawnWorkers()
 }
 
-// spawnWorkers starts the workers; each spawn's run grant fixes the
-// worker's place in the virtual run order.
+// spawnWorkers starts the workers; under a virtual clock the spawn order
+// is their place in the run order.
 func (p *Pool) spawnWorkers() {
-	for i := 0; i < p.cfg.Size; i++ {
-		p.fill.Spawn(&p.wg, p.work)
+	for _, w := range p.workers {
+		w.at, w.task = wTake, nil
+		w.proc.Spawn(&p.group)
 	}
 }
 
-func (p *Pool) worker() {
+// worker is one pool worker as a clock participant. Its step takes a task
+// (waiting as the Picker's policy says) and runs it.
+type worker struct {
+	p    *Pool
+	proc vclock.Proc
+	at   int   // resume point: wTake, wFill or wRun
+	task *Task // taken, not yet run
+	// The lookahead wait in progress (wFill): the policy's degrees of
+	// freedom and poll threshold, and the fill deadline.
+	dof           int
+	pollThreshold time.Duration
+	deadline      time.Time
+}
+
+// Resume points of a worker's step.
+const (
+	wTake = iota // take the next task
+	wFill        // a lookahead wait is over
+	wRun         // the taken task's virtual latency has elapsed
+)
+
+func (w *worker) step() vclock.Wait {
+	p := w.p
 	for {
-		t, ok := p.take()
-		if !ok {
-			return
+		if w.at != wRun {
+			p.mu.Lock()
+			wait, ok := w.take()
+			p.mu.Unlock()
+			if !ok {
+				return wait
+			}
+			if w.task.Latency > 0 && p.virtual {
+				w.at = wRun
+				return vclock.Sleep(w.task.Latency)
+			}
 		}
-		_, wall := p.clk.(vclock.Wall)
-		if t.Latency > 0 && !wall {
-			p.clk.Sleep(t.Latency)
-		}
-		if p.cfg.RunLock != nil {
-			vclock.LockBlocking(p.clk, p.cfg.RunLock)
-		}
-		if p.cfg.Record != nil {
-			p.cfg.Record("work", t.Name)
-		}
-		if t.Latency > 0 && wall {
-			time.Sleep(t.Latency)
-		}
-		if p.lean {
-			t.result, t.err = t.Fn()
-		} else {
-			start := time.Now()
-			t.result, t.err = t.Fn()
-			busy := time.Since(start)
-			p.mBusyNS.Add(int64(busy))
-			p.mTaskNS.Observe(int64(busy))
-		}
-		if p.cfg.RunLock != nil {
-			p.cfg.RunLock.Unlock()
-		}
-		p.complete(t)
+		w.run()
+		w.at = wTake
 	}
 }
 
-// take blocks until a task is available (honouring the Picker's wait
-// policy) and removes it from the queue. ok is false when the pool is
-// closed and drained.
-func (p *Pool) take() (t *Task, ok bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var dof int
-	for {
-		for len(p.queue) == 0 {
+// take moves the next task into w.task, honouring the Picker's wait
+// policy, and reports true — or returns the wait the worker must take
+// first. Caller holds p.mu.
+func (w *worker) take() (vclock.Wait, bool) {
+	p := w.p
+	if w.at == wFill {
+		// Back from a lookahead wait: leave the fill FIFO (the deadline may
+		// have ended the wait, not a nudge) and drop a nudge that raced it.
+		// A sibling worker may have drained the queue meanwhile, in which
+		// case start over.
+		for i, f := range p.fill {
+			if f == w {
+				p.fill = append(p.fill[:i], p.fill[i+1:]...)
+				break
+			}
+		}
+		w.proc.Drain()
+		if len(p.queue) == 0 {
+			w.at = wTake
+		}
+	}
+	if w.at == wTake {
+		if len(p.queue) == 0 {
 			if p.closed {
-				return nil, false
+				return vclock.Exit(), false
 			}
-			p.cond.Wait()
+			p.idle = append(p.idle, w)
+			return vclock.Park(), false
 		}
-
-		// Wait for the queue to fill up to the lookahead window (§4.3.4,
-		// "Scheduling the Worker Pool"), bounded by maxDelay and by how long
-		// the event loop has been idle in poll. A sibling worker may drain
-		// the queue while we wait, in which case start over.
-		var maxDelay, pollThreshold time.Duration
-		dof, maxDelay, pollThreshold = p.cfg.Picker.WaitPolicy()
-		if maxDelay > 0 && (dof < 0 || len(p.queue) < dof) {
-			if !p.fillWaitLocked(dof, maxDelay, pollThreshold) {
-				if p.closed && len(p.queue) == 0 {
-					return nil, false
-				}
-				continue
-			}
+		var maxDelay time.Duration
+		w.dof, maxDelay, w.pollThreshold = p.cfg.Picker.WaitPolicy()
+		if maxDelay > 0 && (w.dof < 0 || len(p.queue) < w.dof) {
+			w.at, w.deadline = wFill, p.clk.Now().Add(maxDelay)
 		}
-		break
+	}
+	if w.at == wFill {
+		if d, ok := w.fillWait(); ok {
+			p.fill = append(p.fill, w)
+			return vclock.After(d), false
+		}
 	}
 
 	window := len(p.queue)
-	if dof > 0 && dof < window {
-		window = dof
+	if w.dof > 0 && w.dof < window {
+		window = w.dof
 	}
 	if !p.lean {
 		p.mPickWindow.Observe(int64(window))
@@ -371,52 +410,69 @@ func (p *Pool) take() (t *Task, ok bool) {
 			i = 0
 		}
 	}
-	t = p.queue[i]
+	w.task = p.queue[i]
 	p.queue = append(p.queue[:i:i], p.queue[i+1:]...)
 	p.executed++
 	p.mExecuted.Inc()
-	return t, true
+	return vclock.Wait{}, true
 }
 
-// fillWaitLocked parks the worker until the lookahead window fills, the
-// fill deadline or the loop's poll threshold expires, or the pool closes.
-// Instead of the historical 20µs unlock/sleep/lock spin it waits on the
-// fill wakeup with a deadline: no busy CPU in wall mode, no time at all in
-// virtual mode. Caller holds p.mu; returns with p.mu held, false when the
-// queue emptied and the caller must start over.
-func (p *Pool) fillWaitLocked(dof int, maxDelay, pollThreshold time.Duration) bool {
-	deadline := p.clk.Now().Add(maxDelay)
-	for !p.closed && (dof < 0 || len(p.queue) < dof) {
-		remaining := p.clk.Until(deadline)
-		if remaining <= 0 {
-			break
+// fillWait returns how long the worker should wait for the queue to fill
+// up to the lookahead window (§4.3.4, "Scheduling the Worker Pool"): the
+// wait ends when the window fills, at the fill deadline, once the event
+// loop has sat in poll for the policy's threshold, or when the pool closes.
+// ok is false when one of those already holds. Caller holds p.mu.
+func (w *worker) fillWait() (d time.Duration, ok bool) {
+	p := w.p
+	if p.closed || (w.dof >= 0 && len(p.queue) >= w.dof) {
+		return 0, false
+	}
+	d = p.clk.Until(w.deadline)
+	if d <= 0 {
+		return 0, false
+	}
+	if p.cfg.TimeInPoll != nil && w.pollThreshold > 0 {
+		tip := p.cfg.TimeInPoll()
+		if tip >= w.pollThreshold {
+			return 0, false
 		}
-		if p.cfg.TimeInPoll != nil && pollThreshold > 0 {
-			tip := p.cfg.TimeInPoll()
-			if tip >= pollThreshold {
-				break
-			}
-			// The loop is sitting in poll: the threshold trips before our
-			// fill deadline, so bound the wait by it. (When the loop enters
-			// poll mid-wait it pokes us and we rebound here.)
-			if tip > 0 && pollThreshold-tip < remaining {
-				remaining = pollThreshold - tip
-			}
-		}
-		p.fillWaiting++
-		p.mu.Unlock()
-		p.fill.Wait(remaining, nil)
-		p.mu.Lock()
-		p.fillWaiting--
-		// A nudge that raced the deadline leaves its token (and its
-		// unclaimed grant) behind; both must be consumed before anyone
-		// blocks again.
-		p.fill.Drain()
-		if len(p.queue) == 0 {
-			return false
+		// The loop is sitting in poll: the threshold trips before our fill
+		// deadline, so bound the wait by it. (When the loop enters poll
+		// mid-wait it pokes us and we rebound here.)
+		if tip > 0 && w.pollThreshold-tip < d {
+			d = w.pollThreshold - tip
 		}
 	}
-	return len(p.queue) > 0
+	return d, true
+}
+
+// run executes the taken task under the run lock and routes its
+// completion to the loop.
+func (w *worker) run() {
+	p, t := w.p, w.task
+	w.task = nil
+	if p.cfg.RunLock != nil {
+		p.cfg.RunLock.Lock()
+	}
+	if p.cfg.Record != nil {
+		p.cfg.Record("work", t.Name)
+	}
+	if t.Latency > 0 && !p.virtual {
+		time.Sleep(t.Latency)
+	}
+	if p.lean {
+		t.result, t.err = t.Fn()
+	} else {
+		start := time.Now()
+		t.result, t.err = t.Fn()
+		busy := time.Since(start)
+		p.mBusyNS.Add(int64(busy))
+		p.mTaskNS.Observe(int64(busy))
+	}
+	if p.cfg.RunLock != nil {
+		p.cfg.RunLock.Unlock()
+	}
+	p.complete(t)
 }
 
 // complete routes the finished task to the loop: either as its own poll

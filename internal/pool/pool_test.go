@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"nodefz/internal/oracle"
+	"nodefz/internal/vclock"
 )
 
 // collector gathers posted completion events and can run them.
@@ -283,5 +284,39 @@ func TestWaitPolicyDoesNotLoseTasks(t *testing.T) {
 	waitFor(t, func() bool { return ran.Load() == n })
 	if p.Executed() != n {
 		t.Fatalf("Executed = %d, want %d", p.Executed(), n)
+	}
+}
+
+// TestSubmitWakesOneIdleWorker: under a virtual clock each submit takes
+// exactly one worker off the idle FIFO, first parked first, so repeated
+// submits never give one worker more than one turn; the tasks then run in
+// wake order, and Close drains the rest.
+func TestSubmitWakesOneIdleWorker(t *testing.T) {
+	v := vclock.NewVirtual()
+	c := &collector{}
+	var ran []string
+	p := New(Config{Size: 3, Clock: v, Demux: true, Post: c.post, Record: func(_, name string) { ran = append(ran, name) }})
+	var g vclock.Group
+	var submitter vclock.Proc
+	submitter.Init(v, 0, func() vclock.Wait {
+		if len(p.idle) != 3 {
+			t.Fatalf("%d idle workers after their first steps, want 3", len(p.idle))
+		}
+		first := p.idle[0]
+		p.Submit(&Task{Name: "a", Fn: func() (any, error) { return nil, nil }})
+		p.Submit(&Task{Name: "b", Fn: func() (any, error) { return nil, nil }})
+		if len(p.idle) != 1 || p.idle[0] == first {
+			t.Fatalf("two submits left %d idle workers, want the third one only", len(p.idle))
+		}
+		return vclock.Exit()
+	})
+	submitter.Spawn(&g)
+	vclock.Join(v, &g)
+	p.Close()
+	if want := []string{"a", "b"}; fmt.Sprint(ran) != fmt.Sprint(want) {
+		t.Fatalf("tasks ran %v, want %v", ran, want)
+	}
+	if len(c.labels) != 2 {
+		t.Fatalf("%d completions posted, want 2", len(c.labels))
 	}
 }

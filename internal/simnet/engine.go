@@ -36,21 +36,19 @@ func (h *deliveryHeap) Pop() any {
 	return d
 }
 
-// engine is the network's single delivery goroutine: a time-ordered heap of
+// engine is the network's delivery participant: a time-ordered heap of
 // pending deliveries, fired when due. It is the wire — latency happens
 // here, and loops observe only the resulting poll events.
 type engine struct {
 	clk vclock.Clock
-	// wake nudges the engine when a delivery is scheduled; the engine is
-	// spawned through it. Every nudge carries a run grant.
-	wake   vclock.Wakeup
+	// proc runs step; every notify (a delivery was scheduled, or the
+	// network is closing) carries a run grant.
+	proc   vclock.Proc
+	group  vclock.Group
 	mu     sync.Mutex
 	heap   deliveryHeap
 	seq    uint64
-	done   chan struct{}
 	closed bool
-	wg     sync.WaitGroup
-	body   func() // e.run, bound once for every spawn
 	// free recycles fired deliveries; a steady-state trial schedules
 	// without allocating. Guarded by mu.
 	free []*delivery
@@ -60,14 +58,10 @@ func newEngine(clk vclock.Clock) *engine {
 	if clk == nil {
 		clk = vclock.Wall{}
 	}
-	e := &engine{
-		clk:  clk,
-		done: make(chan struct{}),
-	}
-	e.wake.Init(clk, 2)
-	e.body = e.run
-	// The spawn grant fixes the engine's place in the virtual run order.
-	e.wake.Spawn(&e.wg, e.body)
+	e := &engine{clk: clk}
+	e.proc.Init(clk, 2, e.step)
+	// The spawn fixes the engine's place in the virtual run order.
+	e.proc.Spawn(&e.group)
 	return e
 }
 
@@ -96,17 +90,15 @@ func (e *engine) schedule(delay time.Duration, notBefore time.Time, fn func()) t
 	d.due, d.seq, d.fn = due, e.seq, fn
 	heap.Push(&e.heap, d)
 	e.mu.Unlock()
-	e.wake.Notify(true)
+	e.proc.Notify(true)
 	return due
 }
 
-// close stops the engine and joins its goroutine; pending deliveries are
-// dropped. Joining (rather than the historical fire-and-forget) is what
-// makes the engine safely restartable: once close returns, no engine
-// goroutine can still be parked on the clock, so a trial arena may reset
-// the clock and respawn the engine without a zombie claiming a later
-// trial's run grant. The shutdown wait counts as blocked on the clock for
-// the same reason the pool's does.
+// close stops the engine and joins it; pending deliveries are dropped. It
+// notifies the engine, whose next step sees closed and exits. Joining is
+// what makes the engine safely restartable: once close returns the engine
+// has exited, so a trial arena may reset the clock and respawn it. Call it
+// from outside any step.
 func (e *engine) close() {
 	e.mu.Lock()
 	if e.closed {
@@ -115,62 +107,51 @@ func (e *engine) close() {
 	}
 	e.closed = true
 	e.mu.Unlock()
-	close(e.done)
-	vclock.Join(e.clk, &e.wg)
-	// A wake that raced the teardown leaves its token — and its unclaimed
-	// run grant — behind; revoke it so the grant cannot wedge the clock or
-	// leak into the engine's next incarnation.
-	e.wake.Drain()
+	e.proc.Notify(true)
+	vclock.Join(e.clk, &e.group)
+	// A wall-time wake that raced the teardown leaves its token behind.
+	e.proc.Drain()
 }
 
-// restart re-arms a closed engine: the delivery heap empties in place and a
-// fresh goroutine spawns under the same clock role, exactly as newEngine
-// did. The caller must have close()d the engine first.
+// restart re-arms a closed engine: the delivery heap empties in place and
+// the engine respawns, exactly as newEngine spawned it. The caller must have
+// close()d the engine first.
 func (e *engine) restart() {
 	e.mu.Lock()
 	clear(e.heap)
 	e.heap = e.heap[:0]
 	e.seq = 0
 	e.closed = false
-	e.done = make(chan struct{})
 	e.mu.Unlock()
-	e.wake.Spawn(&e.wg, e.body)
+	e.proc.Spawn(&e.group)
 }
 
-func (e *engine) run() {
-	var recycle *delivery
+// step fires every due delivery, then waits until the next one is due or a
+// notify arrives.
+func (e *engine) step() vclock.Wait {
+	var fired *delivery
 	for {
 		e.mu.Lock()
-		if recycle != nil {
-			recycle.fn = nil
-			e.free = append(e.free, recycle)
-			recycle = nil
+		if fired != nil {
+			fired.fn = nil
+			e.free = append(e.free, fired)
 		}
 		if e.closed {
 			e.mu.Unlock()
-			return
+			return vclock.Exit()
 		}
-		var wait time.Duration = -1
-		var ready *delivery
-		if len(e.heap) > 0 {
-			now := e.clk.Now()
-			next := e.heap[0]
-			if !next.due.After(now) {
-				ready = heap.Pop(&e.heap).(*delivery)
-			} else {
-				wait = next.due.Sub(now)
-			}
+		if len(e.heap) == 0 {
+			e.mu.Unlock()
+			return vclock.Park()
 		}
+		next := e.heap[0]
+		if wait := next.due.Sub(e.clk.Now()); wait > 0 {
+			e.mu.Unlock()
+			return vclock.After(wait)
+		}
+		heap.Pop(&e.heap)
 		e.mu.Unlock()
-
-		if ready != nil {
-			ready.fn()
-			recycle = ready
-			continue
-		}
-		// Sleep until the next delivery is due (wait < 0: nothing queued), a
-		// schedule nudges us, or close tears the engine down; the loop top
-		// then sees closed.
-		e.wake.Wait(wait, e.done)
+		next.fn()
+		fired = next
 	}
 }

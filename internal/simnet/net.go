@@ -100,15 +100,15 @@ func New(cfg Config) *Network {
 }
 
 // Close shuts the network down; undelivered messages are dropped. Close
-// joins the delivery goroutine, so when it returns the network holds no
-// clock registration.
+// joins the delivery engine, so when it returns nothing of the network is
+// left on the clock. Call it from outside any loop callback.
 func (n *Network) Close() { n.engine.close() }
 
 // Reset re-arms a Closed network for a new trial as if freshly built with
 // New(cfg): the latency sampler reseeds in place (bit-identical to a fresh
 // rand source), listeners and connection numbering rewind, and the delivery
-// engine respawns under its original clock role. cfg.Clock must be the
-// clock the network was built with — the engine's role lives on it.
+// engine respawns. cfg.Clock must be the clock the network was built with —
+// the engine is a participant of it.
 func (n *Network) Reset(cfg Config) {
 	if cfg.MinLatency <= 0 {
 		cfg.MinLatency = 50 * time.Microsecond

@@ -3,7 +3,6 @@ package simnet
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -31,17 +30,17 @@ func partitionPair(seed int64) (lc, ls *eventloop.Loop, net *Network) {
 }
 
 // runBoth runs both loops to completion on the shared clock, as a cluster
-// trial runs its node loops. The caller holds the run token from setup: b
-// enters the run order through Loop.Go's spawn, and a runs on a goroutine
-// that inherits the token, then joins b, as cluster.Join does.
+// trial runs its node loops: b enters the run order through Loop.Go's
+// spawn, and a's Run, on a goroutine of its own, drives the clock and then
+// joins b, as cluster.Join does.
 func runBoth(t *testing.T, a, b *eventloop.Loop) {
 	t.Helper()
-	var bwg sync.WaitGroup
-	b.Go(&bwg)
+	var bg vclock.Group
+	b.Go(&bg)
 	errc := make(chan error, 1)
 	go func() {
 		err := a.Run()
-		vclock.Join(a.Clock(), &bwg)
+		vclock.Join(a.Clock(), &bg)
 		errc <- err
 	}()
 	select {

@@ -1,408 +1,381 @@
 package vclock
 
 import (
+	"fmt"
 	"reflect"
-	"sync"
+	"strings"
 	"testing"
 	"time"
 )
+
+// steps builds a participant on clk whose successive steps run fns in
+// turn; it exits after the last.
+func steps(clk Clock, pri int, fns ...func() Wait) *Proc {
+	p := new(Proc)
+	i := 0
+	p.Init(clk, pri, func() Wait {
+		if i == len(fns) {
+			return Exit()
+		}
+		i++
+		return fns[i-1]()
+	})
+	return p
+}
+
+// logger records "name@elapsed" entries against a virtual clock.
+type logger struct {
+	v   *Virtual
+	log []string
+}
+
+func (l *logger) at(name string, w Wait) func() Wait {
+	return func() Wait {
+		l.log = append(l.log, fmt.Sprintf("%s@%v", name, l.v.Since(epoch)))
+		return w
+	}
+}
+
+func (l *logger) check(t *testing.T, want ...string) {
+	t.Helper()
+	if !reflect.DeepEqual(l.log, want) {
+		t.Fatalf("run order\n got %v\nwant %v", l.log, want)
+	}
+}
+
+// mustPanic runs fn and fails unless it panics with a message containing
+// substr.
+func mustPanic(t *testing.T, substr string, fn func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		r := recover()
+		if r == nil || !strings.Contains(fmt.Sprint(r), substr) {
+			t.Fatalf("recovered %v, want a panic mentioning %q", r, substr)
+		}
+	}()
+	fn()
+}
 
 // TestWallDelegates sanity-checks the Wall pass-through.
 func TestWallDelegates(t *testing.T) {
 	var c Clock = Wall{}
 	t0 := c.Now()
-	c.Sleep(time.Millisecond)
+	c.Charge(time.Millisecond)
 	if c.Since(t0) < time.Millisecond {
-		t.Fatalf("Wall.Sleep(1ms) advanced only %v", c.Since(t0))
+		t.Fatalf("Wall.Charge(1ms) advanced only %v", c.Since(t0))
 	}
-	tm := c.NewTimer(time.Microsecond)
-	select {
-	case <-tm.C:
-	case <-time.After(time.Second):
-		t.Fatal("Wall timer never fired")
-	}
-	if tm.Stop() {
-		t.Fatal("Stop on fired wall timer reported pending")
+	if c.Until(t0) > 0 {
+		t.Fatal("Wall.Until of a past instant is positive")
 	}
 }
 
 // TestVirtualSleepAdvances: a lone participant sleeping jumps time forward
-// with no wall delay.
+// with no wall delay, and Run returns once it exits.
 func TestVirtualSleepAdvances(t *testing.T) {
 	v := NewVirtual()
-	v.register()
-	defer v.unregister()
-	t0 := v.Now()
+	l := &logger{v: v}
+	p := steps(v, 0, l.at("p", Sleep(5*time.Second)), l.at("p", Exit()))
 	wall0 := time.Now()
-	v.Sleep(5 * time.Second)
-	if got := v.Since(t0); got != 5*time.Second {
-		t.Fatalf("virtual time advanced %v, want 5s", got)
-	}
+	p.Run()
+	l.check(t, "p@0s", "p@5s")
 	if w := time.Since(wall0); w > time.Second {
 		t.Fatalf("virtual sleep took %v of wall time", w)
 	}
 }
 
-// TestVirtualTimerOrdering: timers fire in deadline order, ties in creation
-// order, one per advance.
+// TestVirtualTimerOrdering: deadlines run in time order; equal deadlines by
+// priority (After uses the participant's, Sleep always 0), then creation
+// order. Spawn order is the order of first steps.
 func TestVirtualTimerOrdering(t *testing.T) {
 	v := NewVirtual()
-	v.register()
-	defer v.unregister()
-
-	a := v.NewTimer(20 * time.Millisecond)
-	b := v.NewTimer(10 * time.Millisecond)
-	c := v.NewTimer(10 * time.Millisecond) // same deadline as b, later seq
-
-	var order []string
-	for i := 0; i < 3; i++ {
-		v.block()
-		select {
-		case <-a.C:
-			order = append(order, "a")
-		case <-b.C:
-			order = append(order, "b")
-		case <-c.C:
-			order = append(order, "c")
-		}
-		v.unblock()
-	}
-	want := []string{"b", "c", "a"}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("fire order %v, want %v", order, want)
-		}
-	}
-	if v.Since(epoch) != 20*time.Millisecond {
-		t.Fatalf("final virtual time %v, want 20ms past epoch", v.Since(epoch))
-	}
+	l := &logger{v: v}
+	var g Group
+	steps(v, 0, l.at("a", After(20*time.Millisecond)), l.at("a", Exit())).Spawn(&g)
+	steps(v, 2, l.at("b", After(10*time.Millisecond)), l.at("b", Exit())).Spawn(&g)
+	steps(v, 1, l.at("c", After(10*time.Millisecond)), l.at("c", Exit())).Spawn(&g)
+	steps(v, 1, l.at("d", After(10*time.Millisecond)), l.at("d", Exit())).Spawn(&g)
+	steps(v, 2, l.at("e", Sleep(10*time.Millisecond)), l.at("e", Exit())).Spawn(&g)
+	Join(v, &g)
+	l.check(t, "a@0s", "b@0s", "c@0s", "d@0s", "e@0s",
+		"e@10ms", "c@10ms", "d@10ms", "b@10ms", "a@20ms")
 }
 
-// TestVirtualStopRemovesDeadline: an abandoned-but-stopped timer must not
-// block the advance of later deadlines or wedge the clock.
+// TestVirtualStopRemovesDeadline: a notify ends an After wait and its
+// deadline leaves the heap, so time never jumps to it.
 func TestVirtualStopRemovesDeadline(t *testing.T) {
 	v := NewVirtual()
-	v.register()
-	defer v.unregister()
-
-	early := v.NewTimer(time.Millisecond)
-	if !early.Stop() {
-		t.Fatal("Stop on pending virtual timer reported not pending")
-	}
-	v.Sleep(time.Second)
-	if got := v.Since(epoch); got != time.Second {
-		t.Fatalf("virtual time %v, want 1s (stopped timer must not fire first)", got)
-	}
+	l := &logger{v: v}
+	var g Group
+	a := steps(v, 0, l.at("a", After(time.Millisecond)), l.at("a", Exit()))
+	a.Spawn(&g)
+	steps(v, 0, func() Wait { a.Notify(true); return Sleep(time.Second) }, l.at("b", Exit())).Spawn(&g)
+	Join(v, &g)
+	l.check(t, "a@0s", "a@0s", "b@1s")
 }
 
-// TestVirtualGrantVeto: an unclaimed run grant must hold the clock even when
-// all participants are blocked.
+// TestVirtualGrantVeto: while a granted notify holds a run-queue place, no
+// deadline runs and time does not move — here a participant that keeps
+// requeueing itself through granted self-notifies holds back an overdue
+// sleeper.
 func TestVirtualGrantVeto(t *testing.T) {
 	v := NewVirtual()
-	v.register() // lone participant; register hands us the run token
-	role := v.allocRole()
-	tm := v.NewTimer(time.Hour)
-
-	v.wake(role) // pretend a wake is in flight
-	fired := make(chan struct{})
-	go func() {
-		v.block()
-		<-tm.C
-		v.unblock()
-		close(fired)
-	}()
-	select {
-	case <-fired:
-		t.Fatal("clock advanced past an unclaimed run grant")
-	case <-time.After(50 * time.Millisecond):
+	l := &logger{v: v}
+	var g Group
+	steps(v, 0, l.at("sleeper", Sleep(0)), l.at("sleeper", Exit())).Spawn(&g)
+	var busy Proc
+	n := 0
+	busy.Init(v, 0, func() Wait {
+		if got := v.Since(epoch); got != 0 {
+			t.Fatalf("time moved to %v while a step was runnable", got)
+		}
+		if n < 100 {
+			n++
+			busy.Notify(true)
+			return Park()
+		}
+		return l.at("busy", Exit())()
+	})
+	busy.Spawn(&g)
+	Join(v, &g)
+	l.check(t, "sleeper@0s", "busy@0s", "sleeper@0s")
+	if n != 100 {
+		t.Fatalf("busy ran %d requeued steps, want 100", n)
 	}
-	// Claiming the grant (as the wakee would) and blocking again releases
-	// the clock.
-	v.awaitTurn(role)
-	v.block()
-	select {
-	case <-fired:
-	case <-time.After(2 * time.Second):
-		t.Fatal("clock did not advance after the grant was claimed")
-	}
-	v.unregister()
 }
 
-// TestVirtualGrantFIFO: run grants are honoured strictly in issue order, no
-// matter which claimant parks first.
+// TestVirtualGrantFIFO: notified participants run in notify order, whatever
+// order they parked in.
 func TestVirtualGrantFIFO(t *testing.T) {
 	v := NewVirtual()
-	v.register() // we hold the run token while issuing the grants
-	rA, rB := v.allocRole(), v.allocRole()
-
-	var mu sync.Mutex
-	var order []string
-	var wg sync.WaitGroup
-	v.wake(rA)
-	v.wake(rB)
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		v.start(rB)
-		mu.Lock()
-		order = append(order, "B")
-		mu.Unlock()
-		v.block()
-	}()
-	time.Sleep(20 * time.Millisecond) // let B park on its (later) grant first
-	go func() {
-		defer wg.Done()
-		v.start(rA)
-		mu.Lock()
-		order = append(order, "A")
-		mu.Unlock()
-		v.block()
-	}()
-	v.block() // release the token; the grant queue decides who runs
-	wg.Wait()
-	if order[0] != "A" || order[1] != "B" {
-		t.Fatalf("grant claim order %v, want [A B]", order)
-	}
+	l := &logger{v: v}
+	var g Group
+	a := steps(v, 0, l.at("a", Park()), l.at("a", Exit()))
+	b := steps(v, 0, l.at("b", Park()), l.at("b", Exit()))
+	a.Spawn(&g)
+	b.Spawn(&g)
+	steps(v, 0, func() Wait {
+		b.Notify(true)
+		a.Notify(false) // a parked participant wakes either way
+		return Exit()
+	}).Spawn(&g)
+	Join(v, &g)
+	l.check(t, "a@0s", "b@0s", "b@0s", "a@0s")
 }
 
-// TestVirtualTwoParticipants: the clock only advances when ALL participants
-// block, and a worker doing CPU work holds time still.
+// TestVirtualTwoParticipants: a step doing CPU work holds time still; the
+// other participant's due deadline runs only once that step has waited.
 func TestVirtualTwoParticipants(t *testing.T) {
 	v := NewVirtual()
-	v.register() // participant 1: the timer waiter
-	v.register() // participant 2: the "worker"
-
-	workDone := make(chan struct{})
-	go func() {
-		// Worker runs unblocked for a while; time must not advance.
-		time.Sleep(20 * time.Millisecond)
-		if got := v.Since(epoch); got != 0 {
-			t.Errorf("virtual time advanced to %v while a participant was runnable", got)
+	l := &logger{v: v}
+	var g Group
+	steps(v, 0, l.at("waiter", Sleep(time.Millisecond)), l.at("waiter", Exit())).Spawn(&g)
+	steps(v, 0, func() Wait {
+		start := time.Now()
+		for time.Since(start) < 5*time.Millisecond {
 		}
-		close(workDone)
-		v.block() // park forever
-	}()
-
-	tm := v.NewTimer(time.Millisecond)
-	<-workDone
-	v.block()
-	select {
-	case <-tm.C:
-	case <-time.After(2 * time.Second):
-		t.Fatal("timer never fired after all participants blocked")
-	}
-	v.unblock()
-	v.unregister()
+		return l.at("worker", Sleep(time.Second))()
+	}, l.at("worker", Exit())).Spawn(&g)
+	Join(v, &g)
+	l.check(t, "waiter@0s", "worker@0s", "waiter@1ms", "worker@1s")
 }
 
-// TestVirtualConcurrentSleepers: N registered sleepers with distinct
-// durations all wake, and time ends at the max. Run with -race.
+// TestVirtualConcurrentSleepers: spawned sleepers with distinct durations
+// all wake, and time ends at the longest.
 func TestVirtualConcurrentSleepers(t *testing.T) {
 	v := NewVirtual()
 	const n = 8
-	var wg sync.WaitGroup
-	// register everyone before any sleeper can block: the clock then cannot
-	// advance until all n timers exist, so every deadline is epoch-relative.
+	var g Group
+	woke := 0
 	for i := 1; i <= n; i++ {
-		v.register()
+		steps(v, 0, func() Wait { return Sleep(time.Duration(i) * 10 * time.Millisecond) },
+			func() Wait { woke++; return Exit() }).Spawn(&g)
 	}
-	for i := 1; i <= n; i++ {
-		wg.Add(1)
-		go func(d time.Duration) {
-			defer wg.Done()
-			defer v.unregister()
-			v.Sleep(d)
-		}(time.Duration(i) * 10 * time.Millisecond)
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("sleepers wedged")
+	Join(v, &g)
+	if woke != n {
+		t.Fatalf("%d sleepers woke, want %d", woke, n)
 	}
 	if got := v.Since(epoch); got != n*10*time.Millisecond {
 		t.Fatalf("final virtual time %v, want %v", got, n*10*time.Millisecond)
 	}
 }
 
-// TestVirtualUnwake: a grant revoked after a failed coalesced send must
-// leave the clock free to advance.
+// TestVirtualUnwake: Drain revokes a granted token's run-queue place, so
+// the participant parks and the clock is free to advance to its deadline.
 func TestVirtualUnwake(t *testing.T) {
 	v := NewVirtual()
-	v.register()
-	defer v.unregister()
-	role := v.allocRole()
-	v.wake(role)
-	v.unwake(role)
-	done := make(chan struct{})
-	go func() { v.Sleep(time.Millisecond); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("leaked grant wedged the clock")
+	l := &logger{v: v}
+	var p *Proc
+	p = steps(v, 0, func() Wait {
+		p.Notify(true)
+		if !p.Drain() || p.Drain() {
+			t.Error("Drain must consume exactly the one pending token")
+		}
+		return l.at("p", After(time.Millisecond))()
+	}, l.at("p", Exit()))
+	p.Run()
+	l.check(t, "p@0s", "p@1ms")
+	if len(v.runq) != 0 {
+		t.Fatalf("%d run-queue entries left after Drain", len(v.runq))
 	}
 }
 
-// TestVirtualCharge: Charge advances time immediately without blocking, and
-// deadlines it skips over fire late (not never) on the next advance.
+// TestVirtualCharge: Charge advances time at once, and a deadline it skips
+// over runs late, at the current time, not never.
 func TestVirtualCharge(t *testing.T) {
 	v := NewVirtual()
-	v.register()
-	defer v.unregister()
-	tm := v.NewTimer(time.Millisecond)
-	v.Charge(10 * time.Millisecond)
-	if got := v.Since(epoch); got != 10*time.Millisecond {
-		t.Fatalf("Charge advanced to %v, want 10ms", got)
-	}
-	v.block()
-	select {
-	case at := <-tm.C:
-		// An overdue timer fires at the current (later) time.
-		if got := at.Sub(epoch); got != 10*time.Millisecond {
-			t.Fatalf("overdue timer fired at %v past epoch, want 10ms", got)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("overdue timer never fired after Charge")
-	}
-	v.unblock()
+	l := &logger{v: v}
+	var g Group
+	steps(v, 0, l.at("a", Sleep(time.Millisecond)), l.at("a", Exit())).Spawn(&g)
+	steps(v, 0, func() Wait { v.Charge(10 * time.Millisecond); return l.at("b", Exit())() }).Spawn(&g)
+	Join(v, &g)
+	l.check(t, "a@0s", "b@10ms", "a@10ms")
 }
 
-// pendingGrants reads the unclaimed-grant count under the clock's lock.
-func (v *Virtual) pendingGrants() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.qlen()
-}
-
-// TestWakeupCoalescedGrantRevoked: a granted token that coalesces into a
-// pending one, or is drained unconsumed, takes its grant with it, so the
-// grant queue matches the tokens in flight and the clock stays free.
+// TestWakeupCoalescedGrantRevoked: a participant holds at most one token,
+// so repeated notifies coalesce into one extra step, and an ungranted
+// token makes the next Park return at once without a run-queue place of
+// its own; nothing is left queued once the participant exits.
 func TestWakeupCoalescedGrantRevoked(t *testing.T) {
 	v := NewVirtual()
-	var w Wakeup
-	w.Init(v, 0)
-	w.Enter()
-	w.Notify(true)
-	w.Notify(true) // coalesces
-	if n := v.pendingGrants(); n != 1 {
-		t.Fatalf("%d grants pending after a coalesced notify, want 1", n)
-	}
-	if !w.Drain() || w.Drain() {
-		t.Fatal("Drain must consume exactly the one pending token")
-	}
-	if n := v.pendingGrants(); n != 0 {
-		t.Fatalf("%d grants pending after Drain, want 0", n)
-	}
-	done := make(chan struct{})
-	go func() { v.Sleep(time.Millisecond); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("a revoked grant wedged the clock")
+	l := &logger{v: v}
+	var g Group
+	var p *Proc
+	p = steps(v, 0,
+		func() Wait {
+			p.Notify(true)
+			p.Notify(true) // coalesces
+			p.Notify(false)
+			return l.at("p", Park())()
+		},
+		func() Wait {
+			p.Notify(false)
+			return l.at("p", Park())()
+		},
+		l.at("p", Exit()))
+	p.Spawn(&g)
+	Join(v, &g)
+	l.check(t, "p@0s", "p@0s", "p@0s")
+	if len(v.runq) != 0 {
+		t.Fatalf("%d run-queue entries left after the last exit", len(v.runq))
 	}
 }
 
-// TestWakeupWaitDeadline: with nothing posted, Wait returns through its
-// deadline timer, at exactly the deadline in virtual time.
+// TestWakeupWaitDeadline: with nothing posted, After returns at exactly its
+// deadline in virtual time; with a granted token pending it returns at the
+// token's run-queue place, with no time passing.
 func TestWakeupWaitDeadline(t *testing.T) {
 	v := NewVirtual()
-	var w Wakeup
-	w.Init(v, 0)
-	w.Enter()
-	w.Wait(5*time.Millisecond, nil)
-	if got := v.Since(epoch); got != 5*time.Millisecond {
-		t.Fatalf("Wait returned at %v, want 5ms", got)
-	}
-	w.Notify(true)
-	w.Wait(time.Hour, nil) // a pending granted token returns at once
-	if got := v.Since(epoch); got != 5*time.Millisecond {
-		t.Fatalf("Wait on a pending granted token advanced the clock to %v", got)
-	}
+	l := &logger{v: v}
+	var p *Proc
+	p = steps(v, 0,
+		l.at("p", After(5*time.Millisecond)),
+		func() Wait { p.Notify(true); return l.at("p", After(time.Hour))() },
+		l.at("p", Exit()))
+	p.Run()
+	l.check(t, "p@0s", "p@5ms", "p@5ms")
 }
 
-// TestWakeupSpawnNotifyJoin: a spawned participant runs only once the
-// spawner gives up the token, a granted notify resumes it, a closed done
-// channel ends its wait, and Join returns once it has left the clock.
+// TestWakeupSpawnNotifyJoin: a spawned participant first runs after its
+// spawner's step, a notify resumes it, a step Awaiting a group runs again
+// right after the group's last exit, at that moment's queue place, and
+// Join from outside any step drives the clock until its group is empty.
 func TestWakeupSpawnNotifyJoin(t *testing.T) {
 	v := NewVirtual()
-	var owner, w Wakeup
-	owner.Init(v, 0)
-	owner.Enter()
-	w.Init(v, 0)
-	var wg sync.WaitGroup
-	var order []string
-	done := make(chan struct{})
-	w.Spawn(&wg, func() {
-		order = append(order, "started")
-		w.Wait(-1, nil)
-		order = append(order, "notified")
-		w.Wait(-1, done)
-		order = append(order, "done")
+	l := &logger{v: v}
+	var outer, kids Group
+	var k1 *Proc
+	k1 = steps(v, 0, l.at("k1", Park()), l.at("k1", Sleep(time.Millisecond)), l.at("k1", Exit()))
+	steps(v, 0, func() Wait {
+		k1.Spawn(&kids)
+		steps(v, 0, l.at("k2", Sleep(2*time.Millisecond)), l.at("k2", Exit())).Spawn(&kids)
+		return l.at("parent", Sleep(0))()
+	}, func() Wait {
+		k1.Notify(true)
+		return l.at("parent", Await(&kids))()
+	}, l.at("parent", Exit())).Spawn(&outer)
+	steps(v, 0, l.at("other", Sleep(2*time.Millisecond)), l.at("other", Exit())).Spawn(&outer)
+	Join(v, &outer)
+	l.check(t, "parent@0s", "other@0s", "k1@0s", "k2@0s", "parent@0s", "k1@0s",
+		"k1@1ms", "other@2ms", "k2@2ms", "parent@2ms")
+	Join(v, &kids) // already empty: returns at once
+}
+
+// TestVirtualExitRevokesGrant: a granted token still queued when its
+// participant exits must not run the participant's next incarnation early
+// — the case of a network engine notified before its first step and then
+// closed.
+func TestVirtualExitRevokesGrant(t *testing.T) {
+	v := NewVirtual()
+	l := &logger{v: v}
+	var g Group
+	p := steps(v, 0, l.at("first", Exit()), l.at("second", Sleep(time.Millisecond)), l.at("second", Exit()))
+	p.Spawn(&g)
+	p.Notify(true) // not parked yet: a second run-queue entry
+	Join(v, &g)
+	if len(v.runq) != 0 {
+		t.Fatal("the exited participant's granted entry is still queued")
+	}
+	p.Spawn(&g)
+	Join(v, &g)
+	l.check(t, "first@0s", "second@0s", "second@1ms")
+}
+
+// TestVirtualImpossibleCasesPanic: a granted notify to a sleeping or
+// awaiting participant, a deadlock, and driving the clock from inside a
+// step are bugs, reported as panics rather than hangs.
+func TestVirtualImpossibleCasesPanic(t *testing.T) {
+	mustPanic(t, "sleeping or awaiting", func() {
+		v := NewVirtual()
+		var g Group
+		s := steps(v, 0, func() Wait { return Sleep(time.Second) })
+		s.Spawn(&g)
+		steps(v, 0, func() Wait { s.Notify(true); return Exit() }).Spawn(&g)
+		Join(v, &g)
 	})
-	order = append(order, "spawner")
-	v.Sleep(time.Millisecond) // the participant runs and parks
-	w.Notify(true)
-	v.Sleep(time.Millisecond)
-	close(done)
-	Join(v, &wg)
-	want := []string{"spawner", "started", "notified", "done"}
-	if !reflect.DeepEqual(order, want) {
-		t.Fatalf("run order %v, want %v", order, want)
+	mustPanic(t, "deadlock", func() {
+		v := NewVirtual()
+		steps(v, 0, Park).Run()
+	})
+	mustPanic(t, "inside a step", func() {
+		v := NewVirtual()
+		var g Group
+		steps(v, 0, func() Wait { Join(v, &g); return Exit() }).Run()
+	})
+}
+
+// parity runs one spawn/park/notify/deadline/await scenario on clk.
+func parity(clk Clock) []string {
+	var log []string
+	var g Group
+	child := steps(clk, 1,
+		Park,
+		func() Wait { log = append(log, "child notified"); return After(time.Millisecond) },
+		func() Wait { log = append(log, "child deadline"); return Exit() })
+	steps(clk, 0,
+		func() Wait { child.Spawn(&g); return Sleep(time.Millisecond) },
+		func() Wait { child.Notify(true); return Await(&g) },
+		func() Wait { log = append(log, "parent joined"); return Exit() }).Run()
+	Join(clk, &g)
+	return log
+}
+
+// TestWakeupWall: the same steps behave the same on the wall clock, where
+// every spawned participant runs on a goroutine of its own.
+func TestWakeupWall(t *testing.T) {
+	v := NewVirtual()
+	want := []string{"child notified", "child deadline", "parent joined"}
+	if got := parity(v); !reflect.DeepEqual(got, want) {
+		t.Fatalf("virtual: %v, want %v", got, want)
 	}
 	if got := v.Since(epoch); got != 2*time.Millisecond {
 		t.Fatalf("virtual time %v, want 2ms", got)
 	}
-}
-
-// TestCondGrantsOneTurnPerWaiter: Signal grants a turn only while some
-// waiter has none pending, and the woken waiter resumes through it.
-func TestCondGrantsOneTurnPerWaiter(t *testing.T) {
-	v := NewVirtual()
-	var owner, w Wakeup
-	owner.Init(v, 0)
-	owner.Enter()
-	w.Init(v, 0)
-	var mu sync.Mutex
-	var c Cond
-	c.Init(&w, &mu)
-	var wg sync.WaitGroup
-	ready, woken := false, false
-	w.Spawn(&wg, func() {
-		mu.Lock()
-		for !ready {
-			c.Wait()
-		}
-		woken = true
-		mu.Unlock()
-	})
-	v.Sleep(time.Millisecond) // the waiter parks
-	mu.Lock()
-	ready = true
-	c.Signal()
-	c.Signal() // the one waiter already has a grant pending
-	mu.Unlock()
-	if n := v.pendingGrants(); n != 1 {
-		t.Fatalf("%d grants pending for one waiter, want 1", n)
-	}
-	Join(v, &wg)
-	if !woken {
-		t.Fatal("signalled waiter never resumed")
-	}
-}
-
-// TestWakeupWall: on the wall clock the same primitives work without any
-// participant accounting.
-func TestWakeupWall(t *testing.T) {
-	var w Wakeup
-	w.Init(Wall{}, 0)
-	var wg sync.WaitGroup
-	w.Spawn(&wg, func() { w.Wait(-1, nil) })
-	w.Notify(true)
-	Join(Wall{}, &wg)
 	start := time.Now()
-	w.Wait(time.Millisecond, nil)
-	if time.Since(start) < time.Millisecond {
-		t.Fatal("Wall Wait returned before its deadline")
+	if got := parity(Wall{}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("wall: %v, want %v", got, want)
+	}
+	if time.Since(start) < 2*time.Millisecond {
+		t.Fatal("wall waits returned before their deadlines")
 	}
 }
