@@ -355,7 +355,7 @@ func BenchmarkMetricsHistogram(b *testing.B) {
 
 // BenchmarkLoopTimersInstrumented is BenchmarkLoopTimers against an explicit
 // registry; the delta to the uninstrumented run bounds the per-callback cost
-// of the always-on phase instruments.
+// of the phase instruments and timing a registry turns on.
 func BenchmarkLoopTimersInstrumented(b *testing.B) {
 	l := eventloop.New(eventloop.Options{Metrics: metrics.NewRegistry()})
 	fired := 0
@@ -413,8 +413,19 @@ func BenchmarkTrialVirtualVsWall(b *testing.B) {
 // scheduler, reset the recorder/trace/oracle, Begin the arena, run the app.
 // Its ratio to BenchmarkTrialVirtualVsWall/virtual (the build-everything
 // path) is the tentpole's headline number.
-func BenchmarkTrialReset(b *testing.B) {
-	app := bugs.ByAbbr("SIO")
+func BenchmarkTrialReset(b *testing.B) { benchArenaTrial(b, "SIO") }
+
+// BenchmarkClusterTrialReset is BenchmarkTrialReset for the cluster tier:
+// one REP-elect trial through a reused arena world, whose control loop and
+// node loops are arena slots reset in place — the steady state of a cluster
+// campaign's worker.
+func BenchmarkClusterTrialReset(b *testing.B) { benchArenaTrial(b, "REP-elect") }
+
+// benchArenaTrial measures one trial of the app abbr through a reused arena
+// world, with the recorder, trace and oracle a campaign worker resets
+// alongside it.
+func benchArenaTrial(b *testing.B, abbr string) {
+	app := bugs.ByAbbr(abbr)
 	arena := bugs.NewArena(false)
 	inner := core.NewScheduler(core.StandardParams(), 1)
 	recording := core.NewRecording(inner)
@@ -444,9 +455,9 @@ func BenchmarkTrialReset(b *testing.B) {
 // replicas (each its own loop and pool) plus the control loop on one
 // virtual clock and one simnet, the partition/heal fault script, open-loop
 // background reads, and end-to-end detection. The world is built fresh per
-// op — a multi-loop trial cannot be arena-reset in place (DESIGN.md §16),
-// so the fresh build IS the campaign's steady state for cluster variants,
-// and this ns/op bounds cluster campaign throughput.
+// op, as a single-shot run (fzrun, the harness sweeps) builds it; campaigns
+// run cluster trials through an arena, which BenchmarkClusterTrialReset
+// measures.
 func BenchmarkClusterTrial(b *testing.B) {
 	app := bugs.ByAbbr("REP-elect")
 	b.ReportAllocs()

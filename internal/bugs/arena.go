@@ -4,23 +4,21 @@ import (
 	"time"
 
 	"nodefz/internal/eventloop"
-	"nodefz/internal/lag"
 	"nodefz/internal/metrics"
 	"nodefz/internal/oracle"
-	"nodefz/internal/sched"
 	"nodefz/internal/simfs"
 	"nodefz/internal/simnet"
 	"nodefz/internal/vclock"
 )
 
-// Arena is a reusable per-trial world: one virtual clock, one event loop
-// (with its worker pool), one network, and optionally one metrics registry,
-// built on the first trial and *reset in place* between trials instead of
-// being torn down and rebuilt. Constructing a trial world dominates
-// short-trial cost — timer churn, registry instruments, RNG state, and the
-// goroutine plumbing all allocate — so a campaign worker that pins one
-// arena and resets it turns per-trial setup into a handful of truncations
-// and reseeds.
+// Arena is a reusable per-trial world: one virtual clock, the trial's event
+// loops (each with its worker pool), one network, and optionally one
+// metrics registry, built on the first trial and *reset in place* between
+// trials instead of being torn down and rebuilt. Constructing a trial world
+// dominates short-trial cost — timer churn, registry instruments, RNG
+// state, and the goroutine plumbing all allocate — so a campaign worker
+// that pins one arena and resets it turns per-trial setup into a handful of
+// truncations and reseeds.
 //
 // The contract is bit-identical behavior: a trial run through an arena must
 // produce exactly the trace, oracle reports, and coverage digest the same
@@ -31,7 +29,7 @@ import (
 //     clock rewinds to the epoch with an empty run queue and no deadlines;
 //     sequence counters rewind to zero);
 //   - participants respawn at the same program points as fresh construction
-//     (the pool's workers when the trial acquires the loop, the network
+//     (a loop's workers when the trial acquires the loop, the network
 //     engine when it acquires the network): under the virtual clock spawn
 //     order is run order, so the virtual run order is identical.
 //
@@ -43,31 +41,30 @@ type Arena struct {
 	clk *vclock.Virtual
 	reg *metrics.Registry // non-nil iff the arena collects metrics
 
-	loop *eventloop.Loop
-	net  *simnet.Network
+	// loops are the loop slots, in the order trials acquire loops: slot 0 is
+	// a trial's first loop (RunConfig.NewLoop), built with the arena's
+	// registry; cluster node loops (RunConfig.NewNodeLoop, which drops
+	// metrics), restarts included, take the slots after it. next is the
+	// current trial's next slot. Every slot is reset at Begin: a trial stops
+	// and drains each loop it ran, killed nodes' loops too, before it
+	// returns.
+	loops []*eventloop.Loop
+	next  int
+	net   *simnet.Network
 
-	// Collaborators pinned at first build. A later Begin with different
-	// objects discards the world and rebuilds — arenas only pay off when
-	// the caller resets these in place and hands back the same ones.
+	// Collaborators the world's loops are built with. A later Begin with
+	// different objects discards the world and rebuilds — arenas only pay
+	// off when the caller resets these in place and hands back the same
+	// ones.
 	sched eventloop.Scheduler
 	rec   eventloop.Recorder
 	probe *oracle.Tracker
 
-	// Per-trial acquisition flags; an app acquiring a second loop, network,
-	// or FS-noise binding within one trial gets a fresh build so the
-	// resident one is never shared.
-	cfg       RunConfig
-	loopUsed  bool
+	// Per-trial acquisition flags; an app acquiring a second network or
+	// FS-noise binding within one trial gets a fresh build so the resident
+	// one is never shared.
 	netUsed   bool
 	noiseUsed bool
-
-	// multiLoop is set (sticky) the first time a trial builds a cluster
-	// node loop (RunConfig.NewNodeLoop): a multi-node trial runs several
-	// loops on one clock and may abandon some mid-trial (node kill), so the
-	// world cannot be reset in place. Every later Begin discards and
-	// rebuilds instead — correctness first, arena speed only where it is
-	// sound.
-	multiLoop bool
 
 	// FS-noise cache: RunConfig.AddFSNoise's private filesystem and its
 	// jittered async binding, reset and reseeded per trial (a fresh Bind
@@ -77,9 +74,9 @@ type Arena struct {
 }
 
 // NewArena builds an empty arena. collectMetrics decides once whether
-// trials record into a (reused, reset-per-trial) registry or run lean —
-// the loop's metric instrument handles are resolved against the registry
-// at construction, so the choice cannot change per trial.
+// trials record into a (reused, reset-per-trial) registry or build no
+// instruments at all — a loop resolves its instrument handles against the
+// registry when it is built, so the choice cannot change per trial.
 func NewArena(collectMetrics bool) *Arena {
 	a := &Arena{clk: vclock.NewVirtual()}
 	if collectMetrics {
@@ -99,33 +96,30 @@ func (a *Arena) Registry() *metrics.Registry { return a.reg }
 // for the new trial; Begin resets everything the arena owns. The previous
 // trial must be fully over — its App.Run returned.
 func (a *Arena) Begin(cfg RunConfig) RunConfig {
-	if a.multiLoop {
-		a.Discard()
-	}
-	if a.loop != nil &&
+	if len(a.loops) > 0 &&
 		(cfg.Scheduler != a.sched || cfg.Recorder != a.rec || cfg.Oracle != a.probe) {
 		a.Discard()
 	}
-	if a.loop != nil {
-		// Tear down what the trial left running, then rewind. Close joins
-		// the delivery engine (idempotent when the app already closed the
-		// network), so after it every participant has exited — the state
-		// clk.Reset expects.
-		if a.net != nil {
-			a.net.Close()
-		}
-		a.clk.Reset()
-		if a.reg != nil {
-			a.reg.Reset()
-		}
-		a.loop.Reset()
+	a.sched, a.rec, a.probe = cfg.Scheduler, cfg.Recorder, cfg.Oracle
+	// Tear down what the trial left running, then rewind. Close joins the
+	// delivery engine (idempotent when the app already closed the network),
+	// so after it every participant has exited — the state clk.Reset
+	// expects.
+	if a.net != nil {
+		a.net.Close()
 	}
-	a.cfg = cfg
-	a.cfg.Clock = a.clk
-	a.cfg.Metrics = a.reg
-	a.cfg.Arena = a
-	a.loopUsed, a.netUsed, a.noiseUsed = false, false, false
-	return a.cfg
+	a.clk.Reset()
+	if a.reg != nil {
+		a.reg.Reset()
+	}
+	for _, l := range a.loops {
+		l.Reset()
+	}
+	cfg.Clock = a.clk
+	cfg.Metrics = a.reg
+	cfg.Arena = a
+	a.next, a.netUsed, a.noiseUsed = 0, false, false
+	return cfg
 }
 
 // Discard drops the resident world so the next Begin builds a fresh one —
@@ -133,47 +127,39 @@ func (a *Arena) Begin(cfg RunConfig) RunConfig {
 // unknown state. The dead world's participants stay abandoned on the old
 // clock, exactly as a panicked fresh-world trial abandons them.
 func (a *Arena) Discard() {
-	a.loop = nil
+	a.loops = nil
 	a.net = nil
 	a.noiseFS = nil
 	a.noiseFSA = nil
-	a.sched, a.rec, a.probe = nil, nil, nil
 	a.clk = vclock.NewVirtual()
 	if a.reg != nil {
 		a.reg = metrics.NewRegistry()
 	}
 }
 
-// noteMultiLoop marks the arena's current trial multi-loop; see the field.
-func (a *Arena) noteMultiLoop() { a.multiLoop = true }
-
-// acquireLoop hands the trial the arena's resident loop, building it on
-// first use; nil when this trial already claimed it (the caller then builds
-// a fresh loop on the arena's clock).
+// acquireLoop hands the trial its next loop. On an arena that is the next
+// slot, reset at Begin, with its workers respawned where eventloop.New would
+// spawn them; with no arena, or past the last slot, it is a loop built from
+// cfg, which an arena keeps as a new slot.
 func (a *Arena) acquireLoop(cfg RunConfig) *eventloop.Loop {
-	if a.loopUsed {
-		return nil
+	if a != nil && a.next < len(a.loops) {
+		l := a.loops[a.next]
+		a.next++
+		l.RestartPool()
+		return l
 	}
-	a.loopUsed = true
-	if a.loop == nil {
-		a.sched, a.rec, a.probe = cfg.Scheduler, cfg.Recorder, cfg.Oracle
-		fresh := cfg
-		fresh.Arena = nil
-		a.loop = fresh.NewLoop()
-		return a.loop
+	l := eventloop.New(eventloop.Options{
+		Scheduler: cfg.Scheduler,
+		Recorder:  cfg.Recorder,
+		Metrics:   cfg.Metrics,
+		Clock:     cfg.Clock,
+		Probe:     cfg.Oracle,
+	})
+	if a != nil {
+		a.loops = append(a.loops, l)
+		a.next++
 	}
-	// Reuse: re-stamp the recorder with the (rewound) trial clock, respawn
-	// the workers where New would have, and re-attach the lag probe the
-	// fresh path would attach.
-	if r, ok := cfg.Recorder.(*sched.Recorder); ok && r != nil {
-		r.Now = a.clk.Now
-	}
-	a.loop.RestartPool()
-	if a.reg != nil && cfg.LagProbeEvery > 0 {
-		m := lag.New(a.loop, cfg.LagProbeEvery, 0).Attach(a.reg)
-		a.loop.AtExit(func() { m.Snapshot().FoldInto(a.reg) })
-	}
-	return a.loop
+	return l
 }
 
 // acquireNet hands the trial the arena's resident network, building it on
@@ -192,10 +178,10 @@ func (a *Arena) acquireNet(conf simnet.Config) *simnet.Network {
 }
 
 // acquireNoise hands the trial the arena's FS-noise binding, reset and
-// reseeded; nil when this trial already claimed it or the loop is not the
-// arena's resident loop.
+// reseeded; nil when this trial already claimed it or l is not the loop in
+// slot 0.
 func (a *Arena) acquireNoise(l *eventloop.Loop, latency time.Duration, seed int64) *simfs.Async {
-	if a.noiseUsed || l != a.loop {
+	if a.noiseUsed || len(a.loops) == 0 || l != a.loops[0] {
 		return nil
 	}
 	a.noiseUsed = true

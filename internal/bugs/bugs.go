@@ -43,7 +43,8 @@ type RunConfig struct {
 	Recorder eventloop.Recorder
 	// Metrics, when non-nil, is the per-trial registry the loop, worker
 	// pool, and scheduler activity are recorded into (see
-	// internal/metrics); nil leaves the loop on a private registry.
+	// internal/metrics); nil turns metrics off, and the loop and pool then
+	// build no instruments.
 	Metrics *metrics.Registry
 	// LagProbeEvery, when > 0 and Metrics is set, starts a loop-lag monitor
 	// sampling at this interval into the registry's "loop.lag_ns"
@@ -90,25 +91,15 @@ func TrialClock() vclock.Clock {
 }
 
 // NewLoop builds the event loop for a trial — or, when the trial runs in an
-// arena, hands back the arena's resident loop reset for this trial.
+// arena, hands back the arena's next loop slot reset for this trial. Fresh
+// or reused, the loop gets its recorder clock and lag probe here.
 func (cfg RunConfig) NewLoop() *eventloop.Loop {
-	if cfg.Arena != nil {
-		if l := cfg.Arena.acquireLoop(cfg); l != nil {
-			return l
-		}
-	}
 	if r, ok := cfg.Recorder.(*sched.Recorder); ok && r != nil && cfg.Clock != nil {
 		// Stamp schedule entries with the trial clock: under virtual time a
 		// wall timestamp is the one nondeterministic bit left in a trace.
 		r.Now = cfg.Clock.Now
 	}
-	l := eventloop.New(eventloop.Options{
-		Scheduler: cfg.Scheduler,
-		Recorder:  cfg.Recorder,
-		Metrics:   cfg.Metrics,
-		Clock:     cfg.Clock,
-		Probe:     cfg.Oracle,
-	})
+	l := cfg.Arena.acquireLoop(cfg)
 	if cfg.Metrics != nil && cfg.LagProbeEvery > 0 {
 		m := lag.New(l, cfg.LagProbeEvery, 0).Attach(cfg.Metrics)
 		l.AtExit(func() { m.Snapshot().FoldInto(cfg.Metrics) })
@@ -117,18 +108,10 @@ func (cfg RunConfig) NewLoop() *eventloop.Loop {
 }
 
 // NewNodeLoop builds one cluster node's event loop: same clock, scheduler,
-// recorder, and oracle as the trial's control loop, but never the arena's
-// resident loop (a cluster trial needs several live loops at once, and a
-// killed node's loop is abandoned mid-trial — both incompatible with
-// reset-in-place reuse) and never metrics-instrumented (node loops share a
-// trial; per-loop end-of-run gauges would clobber each other). Calling it
-// marks the trial's arena multi-loop, so every later Begin rebuilds the
-// world from scratch instead of resetting it.
+// recorder, and oracle as the trial's control loop — in an arena trial, the
+// arena's next loop slot — but never metrics-instrumented (node loops share
+// a trial; per-loop end-of-run gauges would clobber each other).
 func (cfg RunConfig) NewNodeLoop() *eventloop.Loop {
-	if cfg.Arena != nil {
-		cfg.Arena.noteMultiLoop()
-	}
-	cfg.Arena = nil
 	cfg.Metrics = nil
 	cfg.LagProbeEvery = 0
 	return cfg.NewLoop()
@@ -192,7 +175,7 @@ func AddTimerNoise(l *eventloop.Loop, every, until time.Duration) {
 // worker's queue with the application's file-system operations, and the
 // scheduler's random task picking (Table 3, worker DoF) can hold an
 // application operation back behind them. In an arena trial whose l is the
-// arena's resident loop, the filesystem and its binding are the arena's,
+// arena's loop slot 0, the filesystem and its binding are the arena's,
 // reset and reseeded instead of rebuilt.
 func (cfg RunConfig) AddFSNoise(l *eventloop.Loop, seed int64, every, until time.Duration) {
 	var fsa *simfs.Async

@@ -49,8 +49,8 @@ type Options struct {
 	// default 4). A serializing scheduler (the fuzzer) overrides it with 1.
 	PoolSize int
 	// Metrics is the registry the loop (and its worker pool) records
-	// per-phase counts, durations, and queue depths into. Nil creates a
-	// private per-loop registry, readable via Loop.Metrics.
+	// per-phase counts, durations, and queue depths into. Nil turns metrics
+	// off: no instruments are resolved and no phase or task is timed.
 	Metrics *metrics.Registry
 	// Clock is the loop's time source. Nil means vclock.Wall (real time).
 	// A vclock.Virtual clock runs timer waits, injected delays, and the
@@ -111,12 +111,6 @@ type Loop struct {
 	rec   Recorder
 	clk   vclock.Clock
 	probe *oracle.Tracker
-	// lean is set when the caller supplied no metrics registry: nobody can
-	// read the private one New creates, so the per-phase wall-clock timing
-	// (two time.Now calls and a histogram update per phase, nine phases per
-	// iteration) is skipped. The atomic Stats counters and the end-of-Run
-	// foldStats gauges remain.
-	lean bool
 
 	mu sync.Mutex
 	// proc is the loop as a clock participant; its step is step. Only a
@@ -174,7 +168,8 @@ type Loop struct {
 	stats Stats
 
 	// Metrics. The instrument handles are resolved once in New so the hot
-	// path is a single atomic add; curPhase is loop-goroutine-only.
+	// path is a single atomic add; with no registry they stay nil and every
+	// recording is a no-op. curPhase is loop-goroutine-only.
 	reg      *metrics.Registry
 	phaseCB  [numPhases]*metrics.Counter
 	phaseNS  [numPhases]*metrics.Histogram
@@ -226,10 +221,6 @@ func New(opts Options) *Loop {
 	if opts.PoolSize <= 0 {
 		opts.PoolSize = 4
 	}
-	lean := opts.Metrics == nil
-	if opts.Metrics == nil {
-		opts.Metrics = metrics.NewRegistry()
-	}
 	if opts.Clock == nil {
 		opts.Clock = vclock.Wall{}
 	}
@@ -238,15 +229,16 @@ func New(opts Options) *Loop {
 		rec:          opts.Recorder,
 		clk:          opts.Clock,
 		probe:        opts.Probe,
-		lean:         lean,
 		phaseHandles: make(map[PhaseKind][]*PhaseHandle),
 		reg:          opts.Metrics,
 	}
 	l.runScratch, l.defScratch = l.runInline[:0], l.defInline[:0]
 	l.proc.Init(l.clk, 0, l.step)
-	for p := 0; p < numPhases; p++ {
-		l.phaseCB[p] = l.reg.Counter("loop.phase." + phaseNames[p] + ".callbacks")
-		l.phaseNS[p] = l.reg.Histogram("loop.phase."+phaseNames[p]+".ns", metrics.DurationBounds())
+	if l.reg != nil {
+		for p := 0; p < numPhases; p++ {
+			l.phaseCB[p] = l.reg.Counter("loop.phase." + phaseNames[p] + ".callbacks")
+			l.phaseNS[p] = l.reg.Histogram("loop.phase."+phaseNames[p]+".ns", metrics.DurationBounds())
+		}
 	}
 	// Serialized mode (§4.3.3): callbacks and tasks exclude each other, one
 	// worker runs the tasks, and each completion is its own poll event.
@@ -263,7 +255,6 @@ func New(opts Options) *Loop {
 		RunLock: workLock,
 		Demux:   serialize,
 		Metrics: l.reg,
-		Lean:    lean,
 		Clock:   l.clk,
 		Probe:   opts.Probe,
 		Post: func(kind, label string, ref oracle.Ref, cb func()) {
@@ -285,10 +276,6 @@ func (l *Loop) Scheduler() Scheduler { return l.sched }
 // deadlines must use it instead of the time package so trials stay correct
 // (and fast) under a virtual clock.
 func (l *Loop) Clock() vclock.Clock { return l.clk }
-
-// Metrics returns the loop's metrics registry (per-phase counts and
-// durations, worker-pool activity, and whatever substrates add).
-func (l *Loop) Metrics() *metrics.Registry { return l.reg }
 
 // Probe returns the loop's concurrency oracle; nil when the oracle is off.
 // Every oracle method is safe on a nil receiver, so substrates and
@@ -368,9 +355,9 @@ const (
 //
 // Each iteration walks phaseOrder: ticks queued outside any callback drain
 // first (like process.nextTick from module scope), then timers, pending,
-// idle, prepare, poll, timers again (§4.1), check, close. Every phase is
-// timed into its duration histogram, and curPhase attributes executed
-// callbacks to it.
+// idle, prepare, poll, timers again (§4.1), check, close. curPhase
+// attributes executed callbacks to the phase, and with a metrics registry
+// every phase is timed into its duration histogram.
 func (l *Loop) step() vclock.Wait {
 	switch l.at {
 	case atStart:
@@ -400,7 +387,7 @@ func (l *Loop) step() vclock.Wait {
 			l.phase = 0
 		}
 		l.curPhase = phaseOrder[l.phase]
-		if !l.lean {
+		if l.reg != nil {
 			l.phaseT0 = time.Now()
 		}
 		switch l.curPhase {
@@ -441,7 +428,7 @@ func (l *Loop) step() vclock.Wait {
 
 // endPhase closes the current phase and moves to the next.
 func (l *Loop) endPhase() {
-	if !l.lean {
+	if l.reg != nil {
 		l.phaseNS[l.curPhase].Observe(int64(time.Since(l.phaseT0)))
 	}
 	l.phase++
@@ -519,7 +506,8 @@ func (l *Loop) AtExit(fn func()) {
 
 // foldStats mirrors the Stats counters into the metrics registry as gauges
 // so a Snapshot after Run carries them; gauges make repeated Runs
-// idempotent (last totals win).
+// idempotent (last totals win). With metrics off every lookup yields a
+// nil gauge and the fold records nothing.
 func (l *Loop) foldStats() {
 	s := l.Stats()
 	l.reg.Gauge("loop.iterations").Set(s.Iterations)

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"reflect"
 	"testing"
 
 	"nodefz/internal/bugs"
@@ -67,14 +66,13 @@ func TestClusterOracleGate(t *testing.T) {
 	}
 }
 
-// TestArenaClusterEquivalence is the gate for the arena's multi-loop
-// fallback: a cluster trial runs several loops on one clock and abandons
-// some mid-trial (node kill), so its world cannot be reset in place — the
-// arena must detect that (RunConfig.NewNodeLoop marks it) and rebuild from
-// scratch on every later Begin. Correctness bar, same as
-// TestArenaResetEquivalence: an arena-run cluster trial is bit-identical to
-// the same trial in a freshly built world, and a single-loop trial run
-// through the same (now sticky multi-loop) arena afterwards still is too.
+// TestArenaClusterEquivalence is the gate for cluster trials in an arena:
+// each node loop, restarts included, takes one of the arena's loop slots
+// after the control loop's slot 0, and every slot is reset in place at the
+// next Begin. Correctness bar, same as TestArenaResetEquivalence, with
+// metrics off and on: an arena-run cluster trial is bit-identical to the
+// same trial in a freshly built world, and so is a single-loop trial run
+// through the same arena afterwards.
 func TestArenaClusterEquivalence(t *testing.T) {
 	seeds := 4
 	if testing.Short() {
@@ -85,48 +83,20 @@ func TestArenaClusterEquivalence(t *testing.T) {
 		t.Fatal("SIO missing from registry")
 	}
 	for _, app := range repApps(t) {
-		app := app
 		for _, mode := range []Mode{ModeNFZ, ModeFZ} {
-			mode := mode
-			t.Run(app.Abbr+"/"+mode.String(), func(t *testing.T) {
-				t.Parallel()
-				w := newArenaWorld(mode, 1)
-				compare := func(a *bugs.App, seed int64) {
-					t.Helper()
-					fresh := runFreshOracleTrial(a, mode, seed)
-					if len(fresh.types) == 0 {
-						t.Fatal("trial recorded no callbacks — test is vacuous")
+			for _, mm := range metricsModes {
+				t.Run(app.Abbr+"/"+mode.String()+mm.suffix, func(t *testing.T) {
+					t.Parallel()
+					w := newArenaWorld(mode, 1, mm.on)
+					for s := 0; s < seeds; s++ {
+						compareWorlds(t, w, app, mode, int64(s+1))
 					}
-					reused := w.run(a, mode, seed)
-					if !reflect.DeepEqual(fresh.trace, reused.trace) {
-						t.Fatalf("%s seed %d: decision trace diverged between fresh and arena worlds",
-							a.Abbr, seed)
-					}
-					if !reflect.DeepEqual(fresh.types, reused.types) {
-						t.Fatalf("%s seed %d: type schedule diverged:\nfresh: %v\narena: %v",
-							a.Abbr, seed, fresh.types, reused.types)
-					}
-					if !reflect.DeepEqual(fresh.stamps, reused.stamps) {
-						t.Fatalf("%s seed %d: virtual timestamps diverged", a.Abbr, seed)
-					}
-					if !reflect.DeepEqual(fresh.violations, reused.violations) {
-						t.Fatalf("%s seed %d: oracle reports diverged:\nfresh: %+v\narena: %+v",
-							a.Abbr, seed, fresh.violations, reused.violations)
-					}
-					if !reflect.DeepEqual(fresh.coverage, reused.coverage) {
-						t.Fatalf("%s seed %d: coverage digest diverged:\nfresh: %+v\narena: %+v",
-							a.Abbr, seed, fresh.coverage, reused.coverage)
-					}
-				}
-				for s := 0; s < seeds; s++ {
-					compare(app, int64(s+1))
-				}
-				// A single-loop trial after cluster trials exercises the
-				// rebuild path one more way: the arena is sticky multi-loop
-				// now, so this trial must get a fresh world, not a resident
-				// loop a dead node once shared a clock with.
-				compare(single, 7)
-			})
+					// A single-loop trial after cluster trials reuses slot 0
+					// while the node slots sit reset and idle: it must match
+					// a fresh world too, registry values included.
+					compareWorlds(t, w, single, mode, 7)
+				})
+			}
 		}
 	}
 }

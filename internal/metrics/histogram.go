@@ -30,8 +30,11 @@ func newHistogram(bounds []int64) *Histogram {
 	return h
 }
 
-// Observe records one value.
+// Observe records one value; a no-op on a nil histogram.
 func (h *Histogram) Observe(v int64) {
+	if h == nil {
+		return
+	}
 	// Binary search: first bound >= v.
 	lo, hi := 0, len(h.bounds)
 	for lo < hi {

@@ -11,6 +11,9 @@
 //     No locks, no maps, no allocation. Instrument handles are resolved
 //     once (Registry.Counter et al.) and then hit directly.
 //   - Cold path (creation, snapshot): a mutex around the name maps.
+//   - Off: a nil *Registry hands out nil instruments, whose recording
+//     methods do nothing, so instrumented code records unconditionally and
+//     costs one nil check when nobody collects metrics.
 //
 // Instruments are monotonic (Counter), last-value (Gauge), or distribution
 // (Histogram, fixed bucket bounds chosen at creation). Snapshot captures
@@ -29,11 +32,20 @@ type Counter struct {
 	v atomic.Int64
 }
 
-// Inc adds 1.
-func (c *Counter) Inc() { c.v.Add(1) }
+// Inc adds 1; a no-op on a nil counter.
+func (c *Counter) Inc() {
+	if c != nil {
+		c.v.Add(1)
+	}
+}
 
-// Add adds n (n must be >= 0 for the counter to stay monotonic).
-func (c *Counter) Add(n int64) { c.v.Add(n) }
+// Add adds n (n must be >= 0 for the counter to stay monotonic); a no-op on
+// a nil counter.
+func (c *Counter) Add(n int64) {
+	if c != nil {
+		c.v.Add(n)
+	}
+}
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
@@ -43,18 +55,28 @@ type Gauge struct {
 	v atomic.Int64
 }
 
-// Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
+// Set stores v; a no-op on a nil gauge.
+func (g *Gauge) Set(v int64) {
+	if g != nil {
+		g.v.Store(v)
+	}
+}
 
-// Add adjusts the gauge by delta (which may be negative).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
+// Add adjusts the gauge by delta (which may be negative); a no-op on a nil
+// gauge.
+func (g *Gauge) Add(delta int64) {
+	if g != nil {
+		g.v.Add(delta)
+	}
+}
 
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // Registry is a named collection of instruments. Lookups lock; the returned
 // instruments do not — resolve once, then record freely from any goroutine.
-// The zero value is not usable; call NewRegistry.
+// The zero value is not usable; call NewRegistry. A nil *Registry is the
+// "metrics off" registry: its lookups return nil instruments.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
@@ -71,8 +93,12 @@ func NewRegistry() *Registry {
 	}
 }
 
-// Counter returns the named counter, creating it on first use.
+// Counter returns the named counter, creating it on first use; nil on a nil
+// registry.
 func (r *Registry) Counter(name string) *Counter {
+	if r == nil {
+		return nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	c, ok := r.counters[name]
@@ -83,8 +109,12 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// Gauge returns the named gauge, creating it on first use.
+// Gauge returns the named gauge, creating it on first use; nil on a nil
+// registry.
 func (r *Registry) Gauge(name string) *Gauge {
+	if r == nil {
+		return nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	g, ok := r.gauges[name]
@@ -98,7 +128,11 @@ func (r *Registry) Gauge(name string) *Gauge {
 // Histogram returns the named histogram, creating it with the given bucket
 // upper bounds on first use. bounds must be ascending; they are copied. A
 // later call with different bounds returns the existing histogram unchanged.
+// Nil on a nil registry.
 func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
+	if r == nil {
+		return nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	h, ok := r.hists[name]

@@ -82,6 +82,25 @@ func TestRegistryIdentity(t *testing.T) {
 	}
 }
 
+// TestNilRegistryIsOff: a nil registry is "metrics off" — it hands out nil
+// instruments whose recording methods do nothing, so instrumented code
+// records unconditionally without a registry behind it.
+func TestNilRegistryIsOff(t *testing.T) {
+	var r *Registry
+	c := r.Counter("c")
+	g := r.Gauge("g")
+	h := r.Histogram("h", DurationBounds())
+	if c != nil || g != nil || h != nil {
+		t.Fatalf("nil registry returned instruments %v %v %v, want nil", c, g, h)
+	}
+	c.Inc()
+	c.Add(3)
+	g.Set(5)
+	g.Add(-1)
+	h.Observe(7)
+	h.ObserveDuration(time.Millisecond)
+}
+
 // TestHistogramBuckets pins the bucket convention: bucket i counts
 // bounds[i-1] < v <= bounds[i], final bucket is the overflow.
 func TestHistogramBuckets(t *testing.T) {

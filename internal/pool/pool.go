@@ -103,12 +103,9 @@ type Config struct {
 	// limit. Nil means the limit is ignored.
 	TimeInPoll func() time.Duration
 	// Metrics receives pool activity: task/done queue depths, task
-	// durations, worker busy time. Nil creates a private registry.
+	// durations, worker busy time. Nil turns metrics off: no instruments
+	// are resolved and no task is timed.
 	Metrics *metrics.Registry
-	// Lean skips the histogram observations and the wall-clock task timing
-	// feeding them even when Metrics is set; the atomic counters remain.
-	// The loop sets it when its own caller asked for no metrics.
-	Lean bool
 	// Clock is the pool's time source for the lookahead wait; the workers
 	// are participants of it. Nil means vclock.Wall.
 	Clock vclock.Clock
@@ -121,11 +118,6 @@ type Pool struct {
 
 	clk     vclock.Clock
 	virtual bool
-	// lean is set when the owner supplied no metrics registry: the
-	// histogram observations and the wall-clock task timing feeding them
-	// are skipped (the atomic counters remain), which removes two
-	// time.Now calls plus four histogram updates from every task.
-	lean bool
 
 	mu      sync.Mutex
 	queue   []*Task
@@ -144,7 +136,8 @@ type Pool struct {
 	// stats, guarded by mu
 	executed int
 
-	// Metric handles, resolved once in New (lock-free to record).
+	// Metric handles, resolved once in New (lock-free to record); nil, and
+	// so no-ops, when metrics are off.
 	mSubmitted  *metrics.Counter   // pool.tasks_submitted
 	mExecuted   *metrics.Counter   // pool.tasks_executed
 	mBusyNS     *metrics.Counter   // pool.busy_ns: total worker time in task Fns
@@ -165,22 +158,20 @@ func New(cfg Config) *Pool {
 	if cfg.Post == nil {
 		panic("pool: Config.Post is required")
 	}
-	lean := cfg.Lean || cfg.Metrics == nil
-	if cfg.Metrics == nil {
-		cfg.Metrics = metrics.NewRegistry()
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = vclock.Wall{}
 	}
-	p := &Pool{cfg: cfg, clk: cfg.Clock, lean: lean}
+	p := &Pool{cfg: cfg, clk: cfg.Clock}
 	_, p.virtual = cfg.Clock.(*vclock.Virtual)
-	p.mSubmitted = cfg.Metrics.Counter("pool.tasks_submitted")
-	p.mExecuted = cfg.Metrics.Counter("pool.tasks_executed")
-	p.mBusyNS = cfg.Metrics.Counter("pool.busy_ns")
-	p.mQueueDepth = cfg.Metrics.Histogram("pool.queue_depth", metrics.DepthBounds())
-	p.mDoneDepth = cfg.Metrics.Histogram("pool.done_depth", metrics.DepthBounds())
-	p.mPickWindow = cfg.Metrics.Histogram("pool.pick_window", metrics.DepthBounds())
-	p.mTaskNS = cfg.Metrics.Histogram("pool.task_ns", metrics.DurationBounds())
+	if reg := cfg.Metrics; reg != nil {
+		p.mSubmitted = reg.Counter("pool.tasks_submitted")
+		p.mExecuted = reg.Counter("pool.tasks_executed")
+		p.mBusyNS = reg.Counter("pool.busy_ns")
+		p.mQueueDepth = reg.Histogram("pool.queue_depth", metrics.DepthBounds())
+		p.mDoneDepth = reg.Histogram("pool.done_depth", metrics.DepthBounds())
+		p.mPickWindow = reg.Histogram("pool.pick_window", metrics.DepthBounds())
+		p.mTaskNS = reg.Histogram("pool.task_ns", metrics.DurationBounds())
+	}
 	p.workers = make([]*worker, cfg.Size)
 	for i := range p.workers {
 		w := &worker{p: p}
@@ -205,9 +196,7 @@ func (p *Pool) Submit(t *Task) {
 	p.pokeFillLocked()
 	p.mu.Unlock()
 	p.mSubmitted.Inc()
-	if !p.lean {
-		p.mQueueDepth.Observe(int64(depth))
-	}
+	p.mQueueDepth.Observe(int64(depth))
 }
 
 // pokeFillLocked nudges the first lookahead-waiting worker. Caller holds
@@ -400,9 +389,7 @@ func (w *worker) take() (vclock.Wait, bool) {
 	if w.dof > 0 && w.dof < window {
 		window = w.dof
 	}
-	if !p.lean {
-		p.mPickWindow.Observe(int64(window))
-	}
+	p.mPickWindow.Observe(int64(window))
 	i := 0
 	if window > 1 {
 		i = p.cfg.Picker.PickTask(window)
@@ -460,7 +447,7 @@ func (w *worker) run() {
 	if t.Latency > 0 && !p.virtual {
 		time.Sleep(t.Latency)
 	}
-	if p.lean {
+	if p.cfg.Metrics == nil {
 		t.result, t.err = t.Fn()
 	} else {
 		start := time.Now()
@@ -492,9 +479,7 @@ func (p *Pool) complete(t *Task) {
 	first := len(p.doneq) == 1
 	depth := len(p.doneq)
 	p.mu.Unlock()
-	if !p.lean {
-		p.mDoneDepth.Observe(int64(depth))
-	}
+	p.mDoneDepth.Observe(int64(depth))
 	if first {
 		// One wakeup drains the whole done queue: the multiplexing that
 		// §4.3.1 calls out as hostile to fuzzing. Every done callback that
