@@ -20,7 +20,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"nodefz/internal/bugs"
 	"nodefz/internal/core"
@@ -146,7 +145,6 @@ func main() {
 		if metW != nil {
 			reg = metrics.NewRegistry()
 			cfg.Metrics = reg
-			cfg.LagProbeEvery = 2 * time.Millisecond
 		}
 		out := run(cfg)
 		if metW != nil {

@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"nodefz/internal/eventloop"
-	"nodefz/internal/lag"
 	"nodefz/internal/metrics"
 	"nodefz/internal/oracle"
 	"nodefz/internal/sched"
@@ -44,14 +43,9 @@ type RunConfig struct {
 	// Metrics, when non-nil, is the per-trial registry the loop, worker
 	// pool, and scheduler activity are recorded into (see
 	// internal/metrics); nil turns metrics off, and the loop and pool then
-	// build no instruments.
+	// build no instruments. Metrics only observe: a trial runs the same
+	// schedule with or without them.
 	Metrics *metrics.Registry
-	// LagProbeEvery, when > 0 and Metrics is set, starts a loop-lag monitor
-	// sampling at this interval into the registry's "loop.lag_ns"
-	// histogram. The probe's interval timer is itself part of the schedule
-	// (and consumes scheduler decisions), so enabling it slightly perturbs
-	// a trial relative to a probe-free run with the same seed.
-	LagProbeEvery time.Duration
 	// Clock is the trial's time source: nil means wall time; a
 	// vclock.Virtual clock runs every wait — timers, substrate latencies,
 	// injected delays — in simulated time so the trial finishes at CPU
@@ -92,19 +86,14 @@ func TrialClock() vclock.Clock {
 
 // NewLoop builds the event loop for a trial — or, when the trial runs in an
 // arena, hands back the arena's next loop slot reset for this trial. Fresh
-// or reused, the loop gets its recorder clock and lag probe here.
+// or reused, the loop's recorder gets the trial clock here.
 func (cfg RunConfig) NewLoop() *eventloop.Loop {
 	if r, ok := cfg.Recorder.(*sched.Recorder); ok && r != nil && cfg.Clock != nil {
 		// Stamp schedule entries with the trial clock: under virtual time a
 		// wall timestamp is the one nondeterministic bit left in a trace.
 		r.Now = cfg.Clock.Now
 	}
-	l := cfg.Arena.acquireLoop(cfg)
-	if cfg.Metrics != nil && cfg.LagProbeEvery > 0 {
-		m := lag.New(l, cfg.LagProbeEvery, 0).Attach(cfg.Metrics)
-		l.AtExit(func() { m.Snapshot().FoldInto(cfg.Metrics) })
-	}
-	return l
+	return cfg.Arena.acquireLoop(cfg)
 }
 
 // NewNodeLoop builds one cluster node's event loop: same clock, scheduler,
@@ -113,14 +102,7 @@ func (cfg RunConfig) NewLoop() *eventloop.Loop {
 // a trial; per-loop end-of-run gauges would clobber each other).
 func (cfg RunConfig) NewNodeLoop() *eventloop.Loop {
 	cfg.Metrics = nil
-	cfg.LagProbeEvery = 0
 	return cfg.NewLoop()
-}
-
-// deliveryPerturber matches core.Scheduler's cluster decision point without
-// importing core (the corpus is scheduler-agnostic).
-type deliveryPerturber interface {
-	PerturbDelivery(name string) time.Duration
 }
 
 // NewNet builds the trial's network with the trial seed.
@@ -136,9 +118,6 @@ func (cfg RunConfig) NewNet() *simnet.Network {
 		MaxLatency: 2500 * time.Microsecond,
 		Clock:      cfg.Clock,
 		Probe:      cfg.Oracle,
-	}
-	if p, ok := cfg.Scheduler.(deliveryPerturber); ok {
-		conf.Perturb = p.PerturbDelivery
 	}
 	if cfg.Arena != nil {
 		if n := cfg.Arena.acquireNet(conf); n != nil {

@@ -158,11 +158,11 @@ func repElectRun(cfg RunConfig, fixed bool) Outcome {
 	// or two ticks they have left before the liveness deadline, so the
 	// unperturbed schedule resets the election and the stale write commits
 	// harmlessly. A deferred heartbeat timer (the scheduler's 5ms timer
-	// deferral) or a perturbed delivery flips the race: the majority elects
-	// a new view without the minority write, and node 0's install drops a
-	// write its client was already promised. Swept empirically: at 31ms the
-	// vanilla schedule never manifests over seeds 1–15 while the standard
-	// and cluster parameterizations each manifest on about half of them.
+	// deferral) flips the race: the majority elects a new view without the
+	// minority write, and node 0's install drops a write its client was
+	// already promised. Swept empirically: at 31ms the vanilla schedule
+	// never manifests over seeds 1–15 while the standard parameterization
+	// manifests on about half of them.
 	l.SetTimeoutNamed("partition", 23*time.Millisecond, func() {
 		rc.cl.Partition([]int{0}, []int{1, 2})
 	})

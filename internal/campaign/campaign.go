@@ -64,9 +64,6 @@ type Config struct {
 	// (<= 0 means DefaultScheduleTruncate).
 	ScheduleTruncate int
 
-	// Arms is the bandit's arm set; nil means DefaultArms().
-	Arms []Arm
-
 	// MinimizeTrials caps how many manifesting trials are delta-debugged
 	// (< 0 disables minimization; 0 means DefaultMinimizeTrials).
 	MinimizeTrials int
@@ -123,9 +120,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ScheduleTruncate <= 0 {
 		c.ScheduleTruncate = DefaultScheduleTruncate
-	}
-	if c.Arms == nil {
-		c.Arms = DefaultArms()
 	}
 	if c.MinimizeTrials == 0 {
 		c.MinimizeTrials = DefaultMinimizeTrials
@@ -193,6 +187,7 @@ type ArmResult struct {
 // no matter which slice (or which process, after a resume) executes it.
 type Campaign struct {
 	cfg      Config
+	arms     []Arm // the bandit's arms, DefaultArms()
 	run      func(bugs.RunConfig) bugs.Outcome
 	corpus   *Corpus
 	bandit   *UCB
@@ -254,14 +249,16 @@ func New(cfg Config) (*Campaign, error) {
 		return inner(rc)
 	}
 
+	arms := DefaultArms()
 	c := &Campaign{
 		cfg:           cfg,
+		arms:          arms,
 		run:           run,
 		corpus:        NewCorpus(cfg.NoveltyThreshold, cfg.CorpusCapacity, cfg.ScheduleTruncate),
-		bandit:        NewUCB(len(cfg.Arms), cfg.BaseSeed),
+		bandit:        NewUCB(len(arms), cfg.BaseSeed),
 		completed:     make(map[int]bool),
 		entries:       make(map[int]TrialEntry),
-		armManifested: make([]int, len(cfg.Arms)),
+		armManifested: make([]int, len(arms)),
 		minimizeLeft:  cfg.MinimizeTrials,
 	}
 	c.res.Trials = cfg.Trials
@@ -487,7 +484,7 @@ func (c *Campaign) runTrial(i int, w *world) trialStatus {
 	seed := TrialSeed(cfg.BaseSeed, i)
 	arm := c.bandit.Select()
 	if w.inner == nil {
-		w.inner = core.NewScheduler(cfg.Arms[arm].Params, seed)
+		w.inner = core.NewScheduler(c.arms[arm].Params, seed)
 		w.recording = core.NewRecording(w.inner)
 		w.rec = sched.NewRecorder()
 		if cfg.Oracle {
@@ -497,7 +494,7 @@ func (c *Campaign) runTrial(i int, w *world) trialStatus {
 			w.arena = bugs.NewArena(cfg.Metrics != nil)
 		}
 	} else {
-		w.inner.Reseed(cfg.Arms[arm].Params, seed)
+		w.inner.Reseed(c.arms[arm].Params, seed)
 		w.recording.Reset()
 		w.rec.Reset()
 		if w.tracker != nil {
@@ -505,11 +502,7 @@ func (c *Campaign) runTrial(i int, w *world) trialStatus {
 		}
 	}
 	recording, rec, tracker := w.recording, w.rec, w.tracker
-	rc := bugs.RunConfig{Seed: seed, Scheduler: recording, Recorder: rec, Oracle: tracker}
-	if cfg.Metrics != nil {
-		rc.LagProbeEvery = 2 * time.Millisecond
-	}
-	runCfg := w.arena.Begin(rc)
+	runCfg := w.arena.Begin(bugs.RunConfig{Seed: seed, Scheduler: recording, Recorder: rec, Oracle: tracker})
 	reg := w.arena.Registry()
 
 	start := time.Now()
@@ -559,7 +552,7 @@ func (c *Campaign) runTrial(i int, w *world) trialStatus {
 	}
 	c.bandit.Update(arm, reward)
 	if cfg.OracleOut != nil {
-		cfg.OracleOut.WriteTrial(cfg.App.Abbr, "campaign/"+cfg.Arms[arm].Name, i, seed, violations)
+		cfg.OracleOut.WriteTrial(cfg.App.Abbr, "campaign/"+c.arms[arm].Name, i, seed, violations)
 	}
 
 	entry := TrialEntry{
@@ -567,7 +560,7 @@ func (c *Campaign) runTrial(i int, w *world) trialStatus {
 		Trial:       i,
 		Seed:        seed,
 		Arm:         arm,
-		ArmName:     cfg.Arms[arm].Name,
+		ArmName:     c.arms[arm].Name,
 		Manifested:  out.Manifested,
 		Note:        out.Note,
 		Novelty:     adm.Novelty,
@@ -632,7 +625,7 @@ func (c *Campaign) runTrial(i int, w *world) trialStatus {
 		d.FoldInto(reg)
 		_ = cfg.Metrics.Write(metrics.TrialRecord{
 			Bug:         cfg.App.Abbr,
-			Mode:        "campaign/" + cfg.Arms[arm].Name,
+			Mode:        "campaign/" + c.arms[arm].Name,
 			Seed:        seed,
 			Trial:       i,
 			Manifested:  out.Manifested,
@@ -713,9 +706,9 @@ func (c *Campaign) Snapshot() Result {
 		res.CoveragePairs, res.CoverageDigests, res.CoverageTuples = c.corpus.CoverageStats()
 	}
 	stats := c.bandit.Stats()
-	res.Arms = make([]ArmResult, len(c.cfg.Arms))
+	res.Arms = make([]ArmResult, len(c.arms))
 	c.mu.Lock()
-	for i, a := range c.cfg.Arms {
+	for i, a := range c.arms {
 		res.Arms[i] = ArmResult{Name: a.Name, ArmStat: stats[i], Manifested: c.armManifested[i]}
 	}
 	c.mu.Unlock()

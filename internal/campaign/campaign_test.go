@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -398,5 +400,55 @@ func TestCampaignParallelThroughput(t *testing.T) {
 	t.Logf("workers=1: %v, workers=4: %v (%.1fx)", seq, par, float64(seq)/float64(par))
 	if par*2 > seq {
 		t.Errorf("workers=4 did not reach 2x throughput: sequential %v, parallel %v", seq, par)
+	}
+}
+
+// TestMetricsLeaveCampaignUnchanged: exporting metrics only observes. A
+// campaign run with a metrics writer must journal exactly what the same
+// campaign journals without one — every trial, coverage, minimized and
+// checkpoint record — once the wall-clock elapsed_ms is masked. It runs a
+// coverage campaign and a cluster oracle campaign, with one worker so the
+// journal order is fixed.
+func TestMetricsLeaveCampaignUnchanged(t *testing.T) {
+	elapsed := regexp.MustCompile(`"elapsed_ms":\d+`)
+	journal := func(cfg Config, w *metrics.JSONLWriter) []string {
+		t.Helper()
+		cfg.Metrics = w
+		cfg.CheckpointPath = filepath.Join(t.TempDir(), "ckpt.jsonl")
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(cfg.CheckpointPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.Split(elapsed.ReplaceAllString(string(data), `"elapsed_ms":0`), "\n")
+	}
+	for _, c := range []struct {
+		app      string
+		coverage bool
+		oracle   bool
+	}{
+		{"SIO", true, false},
+		{"REP-elect", false, true},
+	} {
+		t.Run(c.app, func(t *testing.T) {
+			cfg := Config{App: bugs.ByAbbr(c.app), Trials: 40, Workers: 1, BaseSeed: 7,
+				Coverage: c.coverage, Oracle: c.oracle}
+			off := journal(cfg, nil)
+			var exported bytes.Buffer
+			on := journal(cfg, metrics.NewJSONLWriter(&exported))
+			if exported.Len() == 0 {
+				t.Fatal("metrics writer received nothing — comparison is vacuous")
+			}
+			if len(on) != len(off) {
+				t.Fatalf("journal has %d lines with metrics, %d without", len(on), len(off))
+			}
+			for i := range off {
+				if on[i] != off[i] {
+					t.Fatalf("journal line %d differs with metrics on:\noff: %s\non:  %s", i+1, off[i], on[i])
+				}
+			}
+		})
 	}
 }

@@ -11,7 +11,7 @@ import (
 // PerturbPoint names one perturbing decision inside a recorded trace: the
 // hook stream it belongs to and its index within that stream.
 type PerturbPoint struct {
-	Stream string `json:"stream"` // "timer" | "shuffle" | "close" | "pick" | "net"
+	Stream string `json:"stream"` // "timer" | "shuffle" | "close" | "pick"
 	Index  int    `json:"index"`
 }
 
@@ -60,11 +60,6 @@ func perturbedPoints(t *core.Trace) []PerturbPoint {
 			out = append(out, PerturbPoint{Stream: "pick", Index: i})
 		}
 	}
-	for i, d := range t.Net {
-		if d.Perturbs() {
-			out = append(out, PerturbPoint{Stream: "net", Index: i})
-		}
-	}
 	return out
 }
 
@@ -91,11 +86,6 @@ func neutralized(t *core.Trace, keep map[PerturbPoint]bool) *core.Trace {
 	for i, d := range cp.Pick {
 		if d.Perturbs() && !keep[PerturbPoint{Stream: "pick", Index: i}] {
 			cp.Pick[i] = d.Neutral()
-		}
-	}
-	for i, d := range cp.Net {
-		if d.Perturbs() && !keep[PerturbPoint{Stream: "net", Index: i}] {
-			cp.Net[i] = d.Neutral()
 		}
 	}
 	return cp

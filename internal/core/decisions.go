@@ -26,8 +26,9 @@ type DecisionCounters struct {
 	ClosesDeferred     int64 `json:"closes_deferred"`      // close callbacks deferred
 	PickCalls          int64 `json:"pick_calls"`           // PickTask invocations
 	LookaheadPicks     int64 `json:"lookahead_picks"`      // picks that skipped the queue head
-	DeliveryCalls      int64 `json:"delivery_calls"`       // PerturbDelivery invocations (cluster tier)
-	DeliveriesDelayed  int64 `json:"deliveries_delayed"`   // cross-node deliveries given extra latency
+	// DeliveriesDelayed is always 0: no scheduler delays network
+	// deliveries. The repository benchmark still reads it.
+	DeliveriesDelayed int64 `json:"deliveries_delayed"`
 }
 
 // Add returns the element-wise sum, for aggregating across trials.
@@ -43,21 +44,19 @@ func (d DecisionCounters) Add(o DecisionCounters) DecisionCounters {
 	d.ClosesDeferred += o.ClosesDeferred
 	d.PickCalls += o.PickCalls
 	d.LookaheadPicks += o.LookaheadPicks
-	d.DeliveryCalls += o.DeliveryCalls
-	d.DeliveriesDelayed += o.DeliveriesDelayed
 	return d
 }
 
 // Total returns the total number of hook invocations — the size of the
 // decision sequence.
 func (d DecisionCounters) Total() int64 {
-	return d.TimerCalls + d.ShuffleCalls + d.CloseCalls + d.PickCalls + d.DeliveryCalls
+	return d.TimerCalls + d.ShuffleCalls + d.CloseCalls + d.PickCalls
 }
 
 // Perturbations returns the number of decisions that actually changed the
 // schedule relative to vanilla ordering.
 func (d DecisionCounters) Perturbations() int64 {
-	return d.TimersDeferred + d.EventsDeferred + d.ClosesDeferred + d.LookaheadPicks + d.DeliveriesDelayed
+	return d.TimersDeferred + d.EventsDeferred + d.ClosesDeferred + d.LookaheadPicks
 }
 
 // FoldInto writes the counters into a metrics registry as "sched.*" gauges,
@@ -74,8 +73,6 @@ func (d DecisionCounters) FoldInto(reg *metrics.Registry) {
 	reg.Gauge("sched.closes_deferred").Set(d.ClosesDeferred)
 	reg.Gauge("sched.pick_calls").Set(d.PickCalls)
 	reg.Gauge("sched.lookahead_picks").Set(d.LookaheadPicks)
-	reg.Gauge("sched.delivery_calls").Set(d.DeliveryCalls)
-	reg.Gauge("sched.deliveries_delayed").Set(d.DeliveriesDelayed)
 }
 
 // String renders the perturbation-relevant counters compactly.
@@ -115,8 +112,6 @@ type decisions struct {
 	closesDeferred     atomic.Int64
 	pickCalls          atomic.Int64
 	lookaheadPicks     atomic.Int64
-	deliveryCalls      atomic.Int64
-	deliveriesDelayed  atomic.Int64
 }
 
 func (d *decisions) reset() {
@@ -131,8 +126,6 @@ func (d *decisions) reset() {
 	d.closesDeferred.Store(0)
 	d.pickCalls.Store(0)
 	d.lookaheadPicks.Store(0)
-	d.deliveryCalls.Store(0)
-	d.deliveriesDelayed.Store(0)
 }
 
 func (d *decisions) snapshot() DecisionCounters {
@@ -148,7 +141,5 @@ func (d *decisions) snapshot() DecisionCounters {
 		ClosesDeferred:     d.closesDeferred.Load(),
 		PickCalls:          d.pickCalls.Load(),
 		LookaheadPicks:     d.lookaheadPicks.Load(),
-		DeliveryCalls:      d.deliveryCalls.Load(),
-		DeliveriesDelayed:  d.deliveriesDelayed.Load(),
 	}
 }

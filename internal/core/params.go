@@ -56,19 +56,6 @@ type Params struct {
 	// events to arrive to interleave with the timer" (§4.3.4). The paper
 	// uses 5 ms.
 	TimerDeferralDelay time.Duration
-
-	// NetDeliveryDelayPct is the probability (percent) of perturbing one
-	// cross-node message delivery with an extra latency of NetDeliveryDelay.
-	// This is the cluster tier's decision point: delaying a delivery lets
-	// other nodes' traffic and timers overtake it, reordering message
-	// arrival *across* connections while per-direction FIFO still holds
-	// (§4.2.1's legal envelope). Zero — the default in every single-node
-	// parameterization — keeps the decision stream untouched.
-	NetDeliveryDelayPct int
-
-	// NetDeliveryDelay is the extra latency injected when a delivery is
-	// perturbed.
-	NetDeliveryDelay time.Duration
 }
 
 // StandardParams returns the paper's "standard parameterization" (Table 3,
@@ -118,17 +105,6 @@ func GuidedTimerParams() Params {
 	return p
 }
 
-// ClusterParams returns the multi-node parameterization: the standard
-// single-node fuzzing plus the cross-node delivery decision point. The
-// delay sits at the simnet latency scale (milliseconds) so a perturbed
-// delivery actually changes which node's traffic arrives first.
-func ClusterParams() Params {
-	p := StandardParams()
-	p.NetDeliveryDelayPct = 25
-	p.NetDeliveryDelay = 2 * time.Millisecond
-	return p
-}
-
 // Validate reports whether the parameters are within range.
 func (p Params) Validate() error {
 	check := func(name string, v int) error {
@@ -146,10 +122,7 @@ func (p Params) Validate() error {
 	if err := check("CloseDeferralPct", p.CloseDeferralPct); err != nil {
 		return err
 	}
-	if err := check("NetDeliveryDelayPct", p.NetDeliveryDelayPct); err != nil {
-		return err
-	}
-	if p.WorkerMaxDelay < 0 || p.WorkerEpollThreshold < 0 || p.TimerDeferralDelay < 0 || p.NetDeliveryDelay < 0 {
+	if p.WorkerMaxDelay < 0 || p.WorkerEpollThreshold < 0 || p.TimerDeferralDelay < 0 {
 		return fmt.Errorf("core: durations must be non-negative")
 	}
 	return nil
@@ -163,13 +136,9 @@ func (p Params) String() string {
 		}
 		return fmt.Sprintf("%d", v)
 	}
-	s := fmt.Sprintf(
+	return fmt.Sprintf(
 		"epoll DoF=%s epoll-defer=%d%% timer-defer=%d%% close-defer=%d%% "+
 			"worker DoF=%s worker-max-delay=%v worker-epoll-threshold=%v timer-delay=%v",
 		dof(p.EpollDoF), p.EpollDeferralPct, p.TimerDeferralPct, p.CloseDeferralPct,
 		dof(p.WorkerDoF), p.WorkerMaxDelay, p.WorkerEpollThreshold, p.TimerDeferralDelay)
-	if p.NetDeliveryDelayPct > 0 {
-		s += fmt.Sprintf(" net-defer=%d%% net-delay=%v", p.NetDeliveryDelayPct, p.NetDeliveryDelay)
-	}
-	return s
 }

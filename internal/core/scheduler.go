@@ -215,27 +215,3 @@ func (s *Scheduler) PickTask(n int) int {
 func (s *Scheduler) WaitPolicy() (int, time.Duration, time.Duration) {
 	return s.params.WorkerDoF, s.params.WorkerMaxDelay, s.params.WorkerEpollThreshold
 }
-
-// PerturbDelivery is the cluster tier's decision point (DeliveryPerturber):
-// called once per scheduled cross-node transmission with the sending
-// endpoint's name, it returns an extra delay with probability
-// NetDeliveryDelayPct. With the percentage zero (every single-node
-// parameterization) the hook consumes no randomness, so wiring it into a
-// network leaves existing schedules bit-identical.
-func (s *Scheduler) PerturbDelivery(string) time.Duration {
-	if s.params.NetDeliveryDelayPct <= 0 {
-		return 0
-	}
-	s.dec.deliveryCalls.Add(1)
-	if !s.chance(s.params.NetDeliveryDelayPct) {
-		return 0
-	}
-	s.dec.deliveriesDelayed.Add(1)
-	return s.params.NetDeliveryDelay
-}
-
-// DeliveryPerturber is implemented by schedulers that fuzz cross-node
-// message delivery; simnet asks for it via bugs.RunConfig.NewNet.
-type DeliveryPerturber interface {
-	PerturbDelivery(name string) time.Duration
-}

@@ -25,10 +25,6 @@ type Trace struct {
 	Shuffle []ShuffleDecision `json:"shuffle"`
 	Close   []bool            `json:"close"`
 	Pick    []PickDecision    `json:"pick"`
-	// Net records the cluster tier's cross-node delivery decisions; empty
-	// for single-node trials (the hook consumes no decisions when the
-	// delivery percentage is zero).
-	Net []NetDecision `json:"net,omitempty"`
 }
 
 // TimerDecision records one FilterTimers call.
@@ -51,17 +47,6 @@ type PickDecision struct {
 	N int `json:"n"`
 	I int `json:"i"`
 }
-
-// NetDecision records one PerturbDelivery call.
-type NetDecision struct {
-	Delay time.Duration `json:"delay"`
-}
-
-// Perturbs reports whether the delivery was given extra latency.
-func (d NetDecision) Perturbs() bool { return d.Delay > 0 }
-
-// Neutral returns the unperturbed form of the decision: no extra delay.
-func (d NetDecision) Neutral() NetDecision { return NetDecision{} }
 
 // Perturbs reports whether the decision changed the schedule relative to
 // vanilla ordering (some timers deferred, or a delay injected).
@@ -110,7 +95,6 @@ func (t *Trace) Clone() *Trace {
 		Shuffle: make([]ShuffleDecision, len(t.Shuffle)),
 		Close:   append([]bool(nil), t.Close...),
 		Pick:    append([]PickDecision(nil), t.Pick...),
-		Net:     append([]NetDecision(nil), t.Net...),
 	}
 	for i, d := range t.Shuffle {
 		cp.Shuffle[i] = ShuffleDecision{
@@ -142,11 +126,6 @@ func (t *Trace) Perturbations() int {
 		}
 	}
 	for _, d := range t.Pick {
-		if d.Perturbs() {
-			n++
-		}
-	}
-	for _, d := range t.Net {
 		if d.Perturbs() {
 			n++
 		}
@@ -212,7 +191,6 @@ func (r *RecordingScheduler) Reset() {
 	r.trace.Shuffle = r.trace.Shuffle[:0]
 	r.trace.Close = r.trace.Close[:0]
 	r.trace.Pick = r.trace.Pick[:0]
-	r.trace.Net = r.trace.Net[:0]
 	r.intBuf = r.intBuf[:0]
 	r.mu.Unlock()
 }
@@ -300,24 +278,6 @@ func (r *RecordingScheduler) PickTask(n int) int {
 	return i
 }
 
-// PerturbDelivery forwards the cluster delivery decision point and records
-// it. When the inner scheduler does not fuzz deliveries the hook stays
-// decision-free: nothing is recorded, so single-node traces are unchanged.
-func (r *RecordingScheduler) PerturbDelivery(name string) time.Duration {
-	p, ok := r.inner.(DeliveryPerturber)
-	if !ok {
-		return 0
-	}
-	d := p.PerturbDelivery(name)
-	if sc, isCore := r.inner.(*Scheduler); isCore && sc.params.NetDeliveryDelayPct <= 0 {
-		return d
-	}
-	r.mu.Lock()
-	r.trace.Net = append(r.trace.Net, NetDecision{Delay: d})
-	r.mu.Unlock()
-	return d
-}
-
 // ReplayScheduler replays a Trace, falling back to a base scheduler when a
 // stream is exhausted or a decision does not fit the live hook call.
 type ReplayScheduler struct {
@@ -329,7 +289,6 @@ type ReplayScheduler struct {
 	si    int // next Shuffle index
 	ci    int // next Close index
 	pi    int // next Pick index
-	ni    int // next Net index
 
 	misses int
 }
@@ -422,27 +381,6 @@ func (r *ReplayScheduler) DeferClose(label string) bool {
 	r.misses++
 	r.mu.Unlock()
 	return r.base.DeferClose(label)
-}
-
-// PerturbDelivery replays the cluster delivery stream; out-of-trace calls
-// fall back to the base scheduler (no delay when the base does not fuzz
-// deliveries).
-func (r *ReplayScheduler) PerturbDelivery(name string) time.Duration {
-	r.mu.Lock()
-	if r.ni < len(r.trace.Net) {
-		d := r.trace.Net[r.ni]
-		r.ni++
-		r.mu.Unlock()
-		return d.Delay
-	}
-	if len(r.trace.Net) > 0 {
-		r.misses++
-	}
-	r.mu.Unlock()
-	if p, ok := r.base.(DeliveryPerturber); ok {
-		return p.PerturbDelivery(name)
-	}
-	return 0
 }
 
 // PickTask implements eventloop.Scheduler.

@@ -127,6 +127,13 @@ func TestTraceEncodeDecodeRoundTrip(t *testing.T) {
 	if !back.Close[0] || back.Close[1] {
 		t.Fatalf("close = %v", back.Close)
 	}
+	// Older traces carry a "net" stream of cross-node delivery delays; they
+	// still decode, with the stream ignored.
+	old, err := DecodeTrace(bytes.NewBufferString(
+		`{"timers":[{"due":1,"run":0,"delay":5000000}],"shuffle":[],"close":[],"pick":[],"net":[{"delay":2000000}]}`))
+	if err != nil || len(old.Timers) != 1 || old.Timers[0].Run != 0 {
+		t.Fatalf("trace with a net stream: %+v, %v", old, err)
+	}
 	if _, err := DecodeTrace(bytes.NewBufferString("{")); err == nil {
 		t.Fatal("bad JSON accepted")
 	}

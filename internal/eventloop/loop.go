@@ -49,8 +49,9 @@ type Options struct {
 	// default 4). A serializing scheduler (the fuzzer) overrides it with 1.
 	PoolSize int
 	// Metrics is the registry the loop (and its worker pool) records
-	// per-phase counts, durations, and queue depths into. Nil turns metrics
-	// off: no instruments are resolved and no phase or task is timed.
+	// per-phase counts, durations, queue depths, and timer lateness
+	// ("loop.lag_ns") into. Nil turns metrics off: no instruments are
+	// resolved and no phase, task, or timer is timed.
 	Metrics *metrics.Registry
 	// Clock is the loop's time source. Nil means vclock.Wall (real time).
 	// A vclock.Virtual clock runs timer waits, injected delays, and the
@@ -173,6 +174,7 @@ type Loop struct {
 	reg      *metrics.Registry
 	phaseCB  [numPhases]*metrics.Counter
 	phaseNS  [numPhases]*metrics.Histogram
+	lagNS    *metrics.Histogram
 	curPhase int
 	atExit   []func()
 
@@ -239,6 +241,7 @@ func New(opts Options) *Loop {
 			l.phaseCB[p] = l.reg.Counter("loop.phase." + phaseNames[p] + ".callbacks")
 			l.phaseNS[p] = l.reg.Histogram("loop.phase."+phaseNames[p]+".ns", metrics.DurationBounds())
 		}
+		l.lagNS = l.reg.Histogram("loop.lag_ns", metrics.DurationBounds())
 	}
 	// Serialized mode (§4.3.3): callbacks and tasks exclude each other, one
 	// worker runs the tasks, and each completion is its own poll event.
@@ -497,9 +500,9 @@ func (l *Loop) Reset() {
 func (l *Loop) RestartPool() { l.pool.Restart() }
 
 // AtExit registers fn to run after the loop drains and the pool shuts down,
-// just before Run returns — the hook instrumentation uses to fold final
-// summaries (e.g. lag percentiles) into the metrics registry. Hooks run in
-// registration order on the Run caller's goroutine, once per Run.
+// just before Run returns — the hook for end-of-run checks, such as listing
+// the promise rejections nobody handled. Hooks run in registration order on
+// the Run caller's goroutine, once per Run.
 func (l *Loop) AtExit(fn func()) {
 	l.atExit = append(l.atExit, fn)
 }
@@ -754,9 +757,16 @@ func (l *Loop) runTimers() time.Duration {
 	return 0
 }
 
+// fireTimer runs one due timer. With a metrics registry it first records
+// the timer's lateness — the clock time at firing minus its deadline — into
+// "loop.lag_ns": the loop's scheduling lag at that deadline, fuzzer-injected
+// delays included.
 func (l *Loop) fireTimer(t *Timer) {
 	if t.stopped {
 		return
+	}
+	if l.lagNS != nil {
+		l.lagNS.ObserveDuration(l.clk.Since(t.deadline))
 	}
 	if t.period > 0 {
 		t.deadline = l.clk.Now().Add(t.period)
@@ -1106,25 +1116,7 @@ func (l *Loop) QueueWorkLatency(name string, latency time.Duration, fn func() (a
 	})
 }
 
-// PoolQueueLen reports the number of worker-pool tasks not yet started.
-func (l *Loop) PoolQueueLen() int { return l.pool.QueueLen() }
-
 // --- loop-local storage ---------------------------------------------------
-
-// SetLocal stores a named loop-scoped value. Safe from any goroutine; nil
-// deletes the entry.
-func (l *Loop) SetLocal(key string, v any) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.locals == nil {
-		l.locals = make(map[string]any)
-	}
-	if v == nil {
-		delete(l.locals, key)
-		return
-	}
-	l.locals[key] = v
-}
 
 // Local returns the value stored under key, or nil. Safe from any goroutine.
 func (l *Loop) Local(key string) any {

@@ -6,6 +6,8 @@ import (
 
 	"nodefz/internal/core"
 	"nodefz/internal/eventloop"
+	"nodefz/internal/metrics"
+	"nodefz/internal/vclock"
 )
 
 // TestFuzzStatsCountDeferrals pins the loop's bookkeeping of scheduler
@@ -61,5 +63,34 @@ func TestFuzzStatsCountDeferrals(t *testing.T) {
 	}
 	if st.TimersRun != 7 || st.EventsRun != 10 {
 		t.Errorf("run counters: timers=%d events=%d", st.TimersRun, st.EventsRun)
+	}
+}
+
+// TestFuzzerDelaysShowUpAsLag: the fuzzer's timer deferrals, each followed
+// by an injected delay, show in "loop.lag_ns". Under a virtual clock an
+// unfuzzed interval timer is never late; a fuzzed one that was deferred is
+// late by at least the injected delay.
+func TestFuzzerDelaysShowUpAsLag(t *testing.T) {
+	maxLag := func(s eventloop.Scheduler) time.Duration {
+		reg := metrics.NewRegistry()
+		l := eventloop.New(eventloop.Options{Scheduler: s, Clock: vclock.NewVirtual(), Metrics: reg})
+		n := 0
+		var tick *eventloop.Timer
+		tick = l.SetInterval(2*time.Millisecond, func() {
+			if n++; n >= 25 {
+				tick.Stop()
+			}
+		})
+		if err := l.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return time.Duration(reg.Snapshot().Histograms["loop.lag_ns"].Max)
+	}
+	if v := maxLag(eventloop.VanillaScheduler{}); v != 0 {
+		t.Fatalf("vanilla max lag %v, want 0", v)
+	}
+	p := core.StandardParams()
+	if fz := maxLag(core.NewScheduler(p, 1)); fz < p.TimerDeferralDelay {
+		t.Fatalf("fuzzed max lag %v, want at least the %v deferral delay", fz, p.TimerDeferralDelay)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"nodefz/internal/metrics"
 	"nodefz/internal/vclock"
 )
 
@@ -79,5 +80,38 @@ func TestVirtualClockQueueWork(t *testing.T) {
 	}
 	if done != 10 || !timerRan {
 		t.Fatalf("done=%d timerRan=%v, want 10/true", done, timerRan)
+	}
+}
+
+// TestBusyLoopRaisesLag: with a registry, every fired timer records its
+// lateness — the clock time at firing minus its deadline — into
+// "loop.lag_ns". A callback that keeps the loop busy for 3ms ahead of a
+// timer due at 1ms makes that timer fire 2ms late.
+func TestBusyLoopRaisesLag(t *testing.T) {
+	reg := metrics.NewRegistry()
+	l := New(Options{Clock: vclock.NewVirtual(), Metrics: reg})
+	l.SetImmediate(func() { l.Clock().Charge(3 * time.Millisecond) })
+	l.SetTimeout(time.Millisecond, func() {})
+	if err := l.Run(); err != nil {
+		t.Fatal(err)
+	}
+	h := reg.Snapshot().Histograms["loop.lag_ns"]
+	want := int64(2 * time.Millisecond)
+	if h.Count != 1 || h.Sum != want || h.Min != want || h.Max != want {
+		t.Fatalf("loop.lag_ns = %+v, want one sample of %v", h, 2*time.Millisecond)
+	}
+}
+
+// TestNoRegistryResolvesNoInstrument: a loop built without a registry
+// resolves no instrument, so it times no phase and no timer.
+func TestNoRegistryResolvesNoInstrument(t *testing.T) {
+	l := New(Options{Clock: vclock.NewVirtual()})
+	if l.lagNS != nil {
+		t.Fatal("loop without a registry resolved loop.lag_ns")
+	}
+	for p := range l.phaseCB {
+		if l.phaseCB[p] != nil || l.phaseNS[p] != nil {
+			t.Fatalf("loop without a registry resolved the %s phase instruments", phaseNames[p])
+		}
 	}
 }

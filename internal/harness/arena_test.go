@@ -18,18 +18,20 @@ import (
 // trialFingerprint is everything externally observable about one trial that
 // the arena contract promises to preserve bit-for-bit: the scheduler
 // decision trace, the recorded type schedule with its virtual timestamps,
-// the oracle's violation reports, the interleaving-coverage digest and,
-// when the trial collects metrics, its deterministic registry values.
+// the oracle's violation reports, the interleaving-coverage digest, the
+// outcome and, when the trial collects metrics, its deterministic registry
+// values.
 type trialFingerprint struct {
 	trace      *core.Trace
 	types      []string
 	stamps     []time.Time
 	violations []oracle.Report
 	coverage   oracle.CoverageDigest
+	outcome    bugs.Outcome
 	metrics    metrics.Snapshot
 }
 
-func fingerprint(recording *core.RecordingScheduler, rec *sched.Recorder, tracker *oracle.Tracker, reg *metrics.Registry) trialFingerprint {
+func fingerprint(out bugs.Outcome, recording *core.RecordingScheduler, rec *sched.Recorder, tracker *oracle.Tracker, reg *metrics.Registry) trialFingerprint {
 	entries := rec.Entries()
 	stamps := make([]time.Time, len(entries))
 	for i, e := range entries {
@@ -41,8 +43,31 @@ func fingerprint(recording *core.RecordingScheduler, rec *sched.Recorder, tracke
 		stamps:     stamps,
 		violations: tracker.Reports(),
 		coverage:   tracker.Coverage(),
+		outcome:    out,
 		metrics:    deterministicMetrics(reg, recording),
 	}
+}
+
+// fingerprintDiff names the first part of the fingerprint in which b
+// differs from a, with both values; "" when they match.
+func fingerprintDiff(a, b trialFingerprint) (part string, av, bv any) {
+	for _, p := range []struct {
+		name   string
+		av, bv any
+	}{
+		{"decision trace", a.trace, b.trace},
+		{"type schedule", a.types, b.types},
+		{"virtual timestamps", a.stamps, b.stamps},
+		{"oracle reports", a.violations, b.violations},
+		{"coverage digest", a.coverage, b.coverage},
+		{"outcome", a.outcome, b.outcome},
+		{"metrics", a.metrics, b.metrics},
+	} {
+		if !reflect.DeepEqual(p.av, p.bv) {
+			return p.name, p.av, p.bv
+		}
+	}
+	return "", nil, nil
 }
 
 // deterministicMetrics folds the scheduler's decision counters into reg, the
@@ -64,26 +89,21 @@ func deterministicMetrics(reg *metrics.Registry, recording *core.RecordingSchedu
 	return snap
 }
 
-// runFreshOracleTrial is the historical build-everything path: a fresh
-// virtual clock, loop, pool, and network per trial — and, with metrics on,
-// a fresh registry and loop-lag probe.
-func runFreshOracleTrial(app *bugs.App, mode Mode, seed int64, withMetrics bool) trialFingerprint {
+// runFreshTrial is the build-everything path: a fresh virtual clock, loop,
+// pool, and network per trial, observed by reg and tracker (either may be
+// nil).
+func runFreshTrial(app *bugs.App, mode Mode, seed int64, reg *metrics.Registry, tracker *oracle.Tracker) trialFingerprint {
 	recording := core.NewRecording(SchedulerFor(mode, seed))
 	rec := sched.NewRecorder()
-	tracker := oracle.New()
-	cfg := bugs.RunConfig{
+	out := app.Run(bugs.RunConfig{
 		Seed:      seed,
 		Scheduler: recording,
 		Recorder:  rec,
+		Metrics:   reg,
 		Clock:     vclock.NewVirtual(),
 		Oracle:    tracker,
-	}
-	if withMetrics {
-		cfg.Metrics = metrics.NewRegistry()
-		cfg.LagProbeEvery = lagProbeInterval
-	}
-	app.Run(cfg)
-	return fingerprint(recording, rec, tracker, cfg.Metrics)
+	})
+	return fingerprint(out, recording, rec, tracker, reg)
 }
 
 // arenaWorld mirrors the campaign's per-worker world: one arena plus the
@@ -95,8 +115,8 @@ type arenaWorld struct {
 	tracker   *oracle.Tracker
 }
 
-// newArenaWorld builds the world; withMetrics gives its arena a registry,
-// and its trials a loop-lag probe, as a campaign with metrics export does.
+// newArenaWorld builds the world; withMetrics gives its arena a registry, as
+// a campaign with metrics export does.
 func newArenaWorld(mode Mode, seed int64, withMetrics bool) *arenaWorld {
 	return &arenaWorld{
 		arena:     bugs.NewArena(withMetrics),
@@ -128,58 +148,39 @@ func (w *arenaWorld) run(app *bugs.App, mode Mode, seed int64) trialFingerprint 
 	w.recording.Reset()
 	w.rec.Reset()
 	w.tracker.Reset()
-	cfg := bugs.RunConfig{
+	out := app.Run(w.arena.Begin(bugs.RunConfig{
 		Seed:      seed,
 		Scheduler: w.recording,
 		Recorder:  w.rec,
 		Oracle:    w.tracker,
-	}
-	if w.arena.Registry() != nil {
-		cfg.LagProbeEvery = lagProbeInterval
-	}
-	app.Run(w.arena.Begin(cfg))
-	return fingerprint(w.recording, w.rec, w.tracker, w.arena.Registry())
+	}))
+	return fingerprint(out, w.recording, w.rec, w.tracker, w.arena.Registry())
 }
 
 // compareWorlds runs app at seed in a fresh world and in w, and fails the
 // test at the first part of the fingerprint that differs.
 func compareWorlds(t *testing.T, w *arenaWorld, app *bugs.App, mode Mode, seed int64) {
 	t.Helper()
-	withMetrics := w.arena.Registry() != nil
-	fresh := runFreshOracleTrial(app, mode, seed, withMetrics)
+	var reg *metrics.Registry
+	if w.arena.Registry() != nil {
+		reg = metrics.NewRegistry()
+	}
+	fresh := runFreshTrial(app, mode, seed, reg, oracle.New())
 	if len(fresh.types) == 0 {
 		t.Fatal("trial recorded no callbacks — test is vacuous")
 	}
-	if withMetrics && fresh.metrics.Gauges["loop.callbacks"] == 0 {
+	if reg != nil && fresh.metrics.Gauges["loop.callbacks"] == 0 {
 		t.Fatal("registry counted no callbacks — metrics comparison is vacuous")
 	}
 	reused := w.run(app, mode, seed)
-	if !reflect.DeepEqual(fresh.trace, reused.trace) {
-		t.Fatalf("%s seed %d: decision trace diverged between fresh and arena worlds", app.Abbr, seed)
-	}
-	if !reflect.DeepEqual(fresh.types, reused.types) {
-		t.Fatalf("%s seed %d: type schedule diverged:\nfresh: %v\narena: %v",
-			app.Abbr, seed, fresh.types, reused.types)
-	}
-	if !reflect.DeepEqual(fresh.stamps, reused.stamps) {
-		t.Fatalf("%s seed %d: virtual timestamps diverged", app.Abbr, seed)
-	}
-	if !reflect.DeepEqual(fresh.violations, reused.violations) {
-		t.Fatalf("%s seed %d: oracle reports diverged:\nfresh: %+v\narena: %+v",
-			app.Abbr, seed, fresh.violations, reused.violations)
-	}
-	if !reflect.DeepEqual(fresh.coverage, reused.coverage) {
-		t.Fatalf("%s seed %d: coverage digest diverged:\nfresh: %+v\narena: %+v",
-			app.Abbr, seed, fresh.coverage, reused.coverage)
-	}
-	if !reflect.DeepEqual(fresh.metrics, reused.metrics) {
-		t.Fatalf("%s seed %d: metrics diverged:\nfresh: %+v\narena: %+v",
-			app.Abbr, seed, fresh.metrics, reused.metrics)
+	if part, a, b := fingerprintDiff(fresh, reused); part != "" {
+		t.Fatalf("%s seed %d: %s diverged between fresh and arena worlds:\nfresh: %+v\narena: %+v",
+			app.Abbr, seed, part, a, b)
 	}
 }
 
 // metricsModes are the two ways a world runs: without metrics, and with a
-// registry plus loop-lag probe; the suffix ends the latter's subtest names.
+// registry; the suffix ends the latter's subtest names.
 var metricsModes = []struct {
 	suffix string
 	on     bool

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"runtime"
-	"time"
 
 	"nodefz/internal/bugs"
 	"nodefz/internal/campaign"
@@ -40,9 +39,9 @@ func ReproRate(app *bugs.App, mode Mode, trials int, baseSeed int64) Rate {
 }
 
 // ReproRateObserved is ReproRate with a per-trial metrics observer: each
-// trial runs with its own metrics registry, a schedule recorder, and a lag
-// probe, and obs receives the assembled record. A nil obs skips all
-// per-trial instrumentation beyond the decision counters.
+// trial runs with its own metrics registry and a schedule recorder, and obs
+// receives the assembled record. A nil obs skips all per-trial
+// instrumentation beyond the decision counters.
 func ReproRateObserved(app *bugs.App, mode Mode, trials int, baseSeed int64, obs TrialObserver) Rate {
 	return measure(app.Run, func(seed int64) eventloop.Scheduler {
 		return SchedulerFor(mode, seed)
@@ -75,11 +74,6 @@ type trialMeta struct {
 	obs  TrialObserver
 }
 
-// lagProbeInterval is the loop-lag sampling period used for observed
-// trials; comfortably above the ~1ms sleep granularity bugs.RunConfig
-// documents, small enough for tens of samples per trial.
-const lagProbeInterval = 2 * time.Millisecond
-
 // measure runs trials through the campaign trial executor with
 // workers = GOMAXPROCS. Per-trial seeds are baseSeed+i regardless of worker
 // count or interleaving, so the reported rates are bit-identical to the
@@ -111,7 +105,6 @@ func measureWorkers(run func(bugs.RunConfig) bugs.Outcome, mkSched func(seed int
 			rec = sched.NewRecorder()
 			cfg.Metrics = reg
 			cfg.Recorder = rec
-			cfg.LagProbeEvery = lagProbeInterval
 		}
 		out := run(cfg)
 		d, _ := core.DecisionsOf(s)

@@ -8,9 +8,6 @@ import (
 	"nodefz/internal/eventloop"
 )
 
-// SweepParams are the Table 3 knobs the ablation sweeps.
-var SweepParams = []string{"timer-deferral", "epoll-deferral", "close-deferral"}
-
 // SweepPoint is one measurement in a parameter sweep.
 type SweepPoint struct {
 	Value int // the percentage the parameter was set to

@@ -1,9 +1,6 @@
 package metrics
 
-import (
-	"encoding/json"
-	"io"
-)
+import "io"
 
 // FleetCampaignStatus is one campaign's row in a fleet status record: the
 // per-campaign columns of the live fleet dashboard.
@@ -64,18 +61,3 @@ func (j *FleetStatusWriter) Count() int { return j.lw.count() }
 
 // Err returns the first write error, if any.
 func (j *FleetStatusWriter) Err() error { return j.lw.firstErr() }
-
-// ReadFleetStatusJSONL parses a fleet dashboard JSONL stream back into
-// records — used by tests and offline analysis.
-func ReadFleetStatusJSONL(r io.Reader) ([]FleetStatusRecord, error) {
-	dec := json.NewDecoder(r)
-	var out []FleetStatusRecord
-	for dec.More() {
-		var rec FleetStatusRecord
-		if err := dec.Decode(&rec); err != nil {
-			return out, err
-		}
-		out = append(out, rec)
-	}
-	return out, nil
-}

@@ -44,10 +44,9 @@
 //
 // Harness detectors (bugs.WaitUntil, watchdogs) synchronize with the
 // application through polled flags, which happens-before tracking cannot
-// see; their accesses would otherwise race everything. Units whose label
-// is in the taint set ("detector", "watchdog" by default), and every unit
-// causally downstream of one, are tainted; violations involving a tainted
-// unit are suppressed.
+// see; their accesses would otherwise race everything. Units labelled
+// "detector" or "watchdog", and every unit causally downstream of one, are
+// tainted; violations involving a tainted unit are suppressed.
 //
 // The zero *Tracker (nil) is valid everywhere: every method nil-checks the
 // receiver and no-ops, so instrumentation hooks cost one predictable

@@ -61,7 +61,6 @@ type Tracker struct {
 	stack     []*unit // execution stack; bottom is the implicit root unit
 	lastByKey map[any]*unit
 	lastSync  map[string]*unit
-	taintSet  map[string]bool
 	cells     map[string]*cellState
 	cellOrder []string // creation order, for deterministic iteration
 	reports   []Report
@@ -101,7 +100,6 @@ func New() *Tracker {
 	t := &Tracker{
 		lastByKey: make(map[any]*unit),
 		lastSync:  make(map[string]*unit),
-		taintSet:  map[string]bool{"detector": true, "watchdog": true},
 		cells:     make(map[string]*cellState),
 		maxRep:    256,
 		dedup:     make(map[reportKey]bool),
@@ -116,10 +114,9 @@ func New() *Tracker {
 }
 
 // Reset re-arms the tracker for a new trial, equivalent to a fresh New():
-// a new root unit, default taint labels, and empty shadow state, coverage,
-// and reports. Backing maps and slices are retained and cleared in place so
-// a trial arena pays no per-trial allocation for the tracker. Safe on a nil
-// receiver. The caller must guarantee no unit is executing (no outstanding
+// a new root unit and empty shadow state, coverage, and reports. Backing
+// maps and slices are retained and cleared in place so a trial arena pays
+// no per-trial allocation for the tracker. Safe on a nil receiver. The caller must guarantee no unit is executing (no outstanding
 // Begin without its End) when Reset runs.
 func (t *Tracker) Reset() {
 	if t == nil {
@@ -129,9 +126,6 @@ func (t *Tracker) Reset() {
 	defer t.mu.Unlock()
 	clear(t.lastByKey)
 	clear(t.lastSync)
-	clear(t.taintSet)
-	t.taintSet["detector"] = true
-	t.taintSet["watchdog"] = true
 	for _, cs := range t.cells {
 		clear(cs.hist)
 		cs.hist = cs.hist[:0]
@@ -159,21 +153,6 @@ func (t *Tracker) Reset() {
 	t.nextID = 1
 	t.chainTail = append(t.chainTail[:0], root)
 	t.stack = append(t.stack[:0], root)
-}
-
-// SetTaintLabels replaces the taint label set (default "detector",
-// "watchdog"): units with one of these labels, and everything causally
-// downstream, have their violations suppressed.
-func (t *Tracker) SetTaintLabels(labels ...string) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.taintSet = make(map[string]bool, len(labels))
-	for _, l := range labels {
-		t.taintSet[l] = true
-	}
 }
 
 // Current returns a Ref to the executing unit (the innermost Begin, or the
@@ -225,6 +204,11 @@ func (t *Tracker) BeginKeyed(kind, label string, key any, refs ...Ref) Token {
 	return Token{u: u}
 }
 
+// isTaintLabel reports whether a unit labelled (or kinded) s is a harness
+// detector, whose violations — and those of everything causally downstream
+// — are suppressed.
+func isTaintLabel(s string) bool { return s == "detector" || s == "watchdog" }
+
 // newUnit allocates a unit whose predecessors are refs + extra + the stack
 // top (the enclosing unit, always present: the root is never popped).
 // Caller holds t.mu.
@@ -262,7 +246,7 @@ func (t *Tracker) newUnit(kind, label string, refs []Ref, extra *unit) *unit {
 		// top-level callback — one element of the interleaving itself.
 		t.noteTopLevel(kind)
 	}
-	if t.taintSet[label] || t.taintSet[kind] {
+	if isTaintLabel(label) || isTaintLabel(kind) {
 		u.tainted = true
 	}
 	// Greedy chain decomposition: extend the first predecessor that is

@@ -71,9 +71,6 @@ func NewPageSize(pageSize int) *FS {
 	}
 }
 
-// PageSize reports the write-atomicity granularity.
-func (fs *FS) PageSize() int { return fs.pageSize }
-
 // Reset empties the filesystem in place — tree, op counts, and watchers —
 // as if freshly built, keeping the page size, page-write delay, and clock.
 // The caller must guarantee no operation is in flight.

@@ -57,14 +57,6 @@ type Config struct {
 	// the calling unit so each delivery happens-after its sender. Nil when
 	// the oracle is off.
 	Probe *oracle.Tracker
-	// Perturb, when non-nil, is the fuzzer's cross-node delivery decision
-	// point: called once per scheduled transmission (on the sender's
-	// goroutine, so the decision order is deterministic under a virtual
-	// clock) with the sending endpoint's name, it returns an extra delay
-	// added to the sampled latency. Per-direction FIFO still holds — a
-	// perturbed message delays everything behind it on the same direction,
-	// it never reorders within a connection (§4.2.1).
-	Perturb func(name string) time.Duration
 }
 
 // Network is a simulated network segment. All loops sharing the Network can
@@ -121,7 +113,6 @@ func (n *Network) Reset(cfg Config) {
 	n.cfg.MinLatency = cfg.MinLatency
 	n.cfg.MaxLatency = cfg.MaxLatency
 	n.cfg.Probe = cfg.Probe
-	n.cfg.Perturb = cfg.Perturb
 	n.rng.Seed(cfg.Seed)
 	clear(n.listeners)
 	n.connSeq = 0
@@ -166,15 +157,6 @@ func (n *Network) linkUp(a, b *eventloop.Loop) bool {
 	ga, oka := n.parts[a]
 	gb, okb := n.parts[b]
 	return !oka || !okb || ga == gb
-}
-
-// perturbDelay asks the fuzzer's delivery decision point (if wired) for an
-// extra delay on a transmission from the named endpoint.
-func (n *Network) perturbDelay(name string) time.Duration {
-	if n.cfg.Perturb == nil {
-		return 0
-	}
-	return n.cfg.Perturb(name)
 }
 
 // probeRef captures the unit currently executing on the calling loop, for
@@ -297,7 +279,7 @@ func (n *Network) Dial(loop *eventloop.Loop, addr string, onConnect func(*Conn, 
 		name: fmt.Sprintf("conn%d:client", seq),
 	}
 
-	n.engine.schedule(n.latency()+n.perturbDelay(client.name), time.Time{}, func() {
+	n.engine.schedule(n.latency(), time.Time{}, func() {
 		n.mu.Lock()
 		ln := n.listeners[addr]
 		refused := ln == nil || ln.closed
@@ -393,7 +375,7 @@ func (c *Conn) scheduleOut(fn func(ref oracle.Ref)) {
 	// sample, keeping the decision stream aligned with the healed schedule),
 	// and a message in flight when the cut lands is lost on the dead wire.
 	// The transport never retransmits across a heal; protocols must.
-	delay := c.net.latency() + c.net.perturbDelay(c.name)
+	delay := c.net.latency()
 	if peer != nil && !c.net.linkUp(c.loop, peer.loop) {
 		return
 	}
@@ -409,9 +391,6 @@ func (c *Conn) scheduleOut(fn func(ref oracle.Ref)) {
 	}
 	c.mu.Unlock()
 }
-
-// SendString is Send for string payloads.
-func (c *Conn) SendString(s string) error { return c.Send([]byte(s)) }
 
 func (c *Conn) deliver(msg []byte, ref oracle.Ref) {
 	c.src.PostRef(KindRead, c.name, ref, func() {

@@ -13,14 +13,10 @@
 package streams
 
 import (
-	"errors"
 	"sync"
 
 	"nodefz/internal/eventloop"
 )
-
-// ErrStreamEnded reports a push/write after end.
-var ErrStreamEnded = errors.New("streams: stream already ended")
 
 // DefaultHighWaterMark is the backpressure threshold in bytes.
 const DefaultHighWaterMark = 16 * 1024
