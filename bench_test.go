@@ -106,7 +106,7 @@ func BenchmarkFig7Suite(b *testing.B) {
 }
 
 func BenchmarkFig7Levenshtein(b *testing.B) {
-	// The DP itself, on schedules the size the paper truncates to per
+	// The distance itself, on schedules the size the paper truncates to per
 	// kilocallback of schedule.
 	alphabet := []string{"timer", "net-read", "work-done", "close", "immediate"}
 	mk := func(n, phase int) []string {
@@ -471,9 +471,10 @@ func BenchmarkClusterTrial(b *testing.B) {
 	}
 }
 
-// BenchmarkLevenshtein measures the schedule-distance DP on paper-scale type
-// schedules (§5.3 truncates at 20K callbacks; 1K per op keeps the benchmark
-// itself fast while exercising the same inner loop).
+// BenchmarkLevenshtein measures the schedule distance (interning plus the
+// bit-vector kernel) on paper-scale type schedules (§5.3 truncates at 20K
+// callbacks; 1K per op keeps the benchmark itself fast while exercising the
+// same inner loop).
 func BenchmarkLevenshtein(b *testing.B) {
 	kinds := []string{"timer", "net-read", "work", "work-done", "close", "immediate"}
 	mk := func(n, phase int) []string {
@@ -492,33 +493,63 @@ func BenchmarkLevenshtein(b *testing.B) {
 
 // BenchmarkCorpusAdmit measures one corpus admission — digest, intern,
 // nearest-neighbour scan — against a corpus at capacity, the steady state a
-// long campaign runs in.
+// long campaign runs in. "near" offers variants of member 0, which fall
+// below the threshold and are rejected. "far" uses the campaign defaults
+// (novelty threshold, capacity 64, truncation 256) and independent random
+// candidates, so every offer is admitted and evicts, as on REP-elect.
 func BenchmarkCorpusAdmit(b *testing.B) {
 	kinds := []string{"timer", "net-read", "work", "work-done", "close", "immediate"}
-	mk := func(seed, n int) []string {
-		s := make([]string, n)
-		x := uint64(seed)*2654435761 + 99991
+	fill := func(s []string, x uint64) uint64 {
 		for i := range s {
 			x = x*6364136223846793005 + 1442695040888963407
 			s[i] = kinds[x%uint64(len(kinds))]
 		}
+		return x
+	}
+	mk := func(seed, n int) []string {
+		s := make([]string, n)
+		fill(s, uint64(seed)*2654435761+99991)
 		return s
 	}
-	const schedLen = 1000
-	c := campaign.NewCorpus(0.05, 32, schedLen)
-	for i := 0; i < 32; i++ {
-		c.Admit(mk(i, schedLen))
-	}
-	cand := mk(0, schedLen)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// Patch a few positions so every offer has a fresh digest and pays
-		// the full nearest-neighbour scan, not the duplicate fast path.
-		for k := 0; k < 4; k++ {
-			cand[(i*131+k*257)%schedLen] = kinds[(i+k)%len(kinds)]
+	b.Run("near", func(b *testing.B) {
+		const schedLen = 1000
+		c := campaign.NewCorpus(0.05, 32, schedLen)
+		for i := 0; i < 32; i++ {
+			c.Admit(mk(i, schedLen))
 		}
-		c.Admit(cand)
-	}
+		cand := mk(0, schedLen)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			// Patch a few positions so every offer has a fresh digest and
+			// pays the full nearest-neighbour scan, not the duplicate fast
+			// path.
+			for k := 0; k < 4; k++ {
+				cand[(i*131+k*257)%schedLen] = kinds[(i+k)%len(kinds)]
+			}
+			c.Admit(cand)
+		}
+	})
+	b.Run("far", func(b *testing.B) {
+		const schedLen = campaign.DefaultScheduleTruncate
+		c := campaign.NewCorpus(campaign.DefaultNoveltyThreshold, campaign.DefaultCorpusCapacity, schedLen)
+		cand := make([]string, schedLen)
+		x := uint64(12345)
+		// Fill the corpus and run one round of evictions, so the measured
+		// offers reuse evicted members' storage.
+		for i := 0; i < 2*campaign.DefaultCorpusCapacity; i++ {
+			x = fill(cand, x)
+			c.Admit(cand)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			x = fill(cand, x)
+			if adm := c.Admit(cand); !adm.Admitted || !adm.Evicted {
+				b.Fatalf("offer %d: admitted %v, evicted %v (novelty %v)", i, adm.Admitted, adm.Evicted, adm.Novelty)
+			}
+		}
+	})
 }
 
 // BenchmarkFleetSlice measures one meta-scheduler step — an allocation

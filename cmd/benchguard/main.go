@@ -7,10 +7,11 @@
 //	  | benchguard -parse -o BENCH_pr.json
 //
 // Compare mode checks a PR's numbers against the committed baseline. An
-// allocs/op increase beyond the tolerance on any benchmark present in both
-// files fails the build; ns/op and B/op drifts are reported but non-fatal,
-// because CI machines make time measurements noisy while allocation counts
-// are deterministic:
+// allocs/op increase beyond the tolerance on any benchmark fails the build,
+// and so does a benchmark present in only one of the two files, so a
+// guarded benchmark cannot leave the gate by being renamed or dropped.
+// ns/op and B/op drifts are reported but non-fatal, because CI machines
+// make time measurements noisy while allocation counts are deterministic:
 //
 //	benchguard -baseline BENCH_baseline.json -current BENCH_pr.json -tol 0.10
 package main
@@ -20,6 +21,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -86,7 +88,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if !compare(base, cur, *tol) {
+		if !compare(os.Stdout, base, cur, *tol) {
 			os.Exit(1)
 		}
 	default:
@@ -182,19 +184,23 @@ func parseResultLine(line string) (Benchmark, bool) {
 	return b, true
 }
 
-// compare prints a row per shared benchmark and returns false if any
-// allocs/op regression exceeds tol.
-func compare(base, cur *File, tol float64) bool {
+// compare writes a row per benchmark to w and returns false if any
+// allocs/op regression exceeds tol, or if a benchmark is in one file but
+// not the other.
+func compare(w io.Writer, base, cur *File, tol float64) bool {
 	baseBy := make(map[string]Benchmark, len(base.Benchmarks))
 	for _, b := range base.Benchmarks {
 		baseBy[b.Name] = b
 	}
+	measured := make(map[string]bool, len(cur.Benchmarks))
 	ok := true
 	matched := 0
 	for _, c := range cur.Benchmarks {
+		measured[c.Name] = true
 		b, found := baseBy[c.Name]
 		if !found {
-			fmt.Printf("%-45s (new — no baseline)\n", c.Name)
+			fmt.Fprintf(w, "%-45s FAIL measured but not in the baseline\n", c.Name)
+			ok = false
 			continue
 		}
 		matched++
@@ -205,11 +211,17 @@ func compare(base, cur *File, tol float64) bool {
 			verdict = fmt.Sprintf("FAIL allocs/op +%.1f%% > %.0f%%", 100*allocDelta, 100*tol)
 			ok = false
 		}
-		fmt.Printf("%-45s allocs %6.0f -> %6.0f (%+.1f%%)  ns/op %+.1f%% (informational)  %s\n",
+		fmt.Fprintf(w, "%-45s allocs %6.0f -> %6.0f (%+.1f%%)  ns/op %+.1f%% (informational)  %s\n",
 			c.Name, b.AllocsPerOp, c.AllocsPerOp, 100*allocDelta, 100*nsDelta, verdict)
 	}
+	for _, b := range base.Benchmarks {
+		if !measured[b.Name] {
+			fmt.Fprintf(w, "%-45s FAIL in the baseline but not measured\n", b.Name)
+			ok = false
+		}
+	}
 	if matched == 0 {
-		fmt.Println("benchguard: no benchmark names in common — nothing compared")
+		fmt.Fprintln(w, "benchguard: no benchmark names in common — nothing compared")
 		return false
 	}
 	return ok

@@ -31,18 +31,25 @@ import (
 //   - at capacity, admitting evicts the new schedule's nearest neighbour —
 //     the member it is most redundant with — keeping the corpus spread out.
 //
-// Admission is the campaign's hottest non-trial path: every trial pays one
-// nearest-neighbour scan, each member an O(n*m) dynamic program over
-// schedules thousands of elements long. Three things keep it cheap:
+// Admission is the campaign's hottest non-trial path: every trial that is
+// not a duplicate pays one nearest-neighbour scan over every member. Three
+// things keep it cheap:
 //
 //   - type strings are interned to dense int IDs once per schedule, so the
-//     DP's inner loop compares ints instead of hashing/comparing strings;
-//   - the two DP rows are per-Corpus scratch reused across members and
-//     candidates (safe: they are only touched under c.mu), so a scan does
-//     zero allocation;
+//     scan works on ints instead of hashing/comparing strings;
+//   - the candidate is compiled once per offer into a bit-vector
+//     sched.Pattern, and each member is scanned as its text in
+//     O(n·⌈m/64⌉) word operations — at most 4 words per symbol at the
+//     default truncation of 256 — with the exact Levenshtein distance as
+//     the result;
 //   - a member whose length differs from the candidate's by more than the
 //     best distance found so far cannot be nearer — the length gap is a
-//     Levenshtein lower bound — and is skipped without running the DP.
+//     Levenshtein lower bound — and is skipped without a scan.
+//
+// The pattern's storage and the interned candidate are per-Corpus scratch,
+// touched only under c.mu, and an evicted member's storage is reused for
+// its replacement, so an admission at capacity allocates nothing once the
+// scratch has grown.
 //
 // Corpus is safe for concurrent use by the campaign's trial workers.
 type Corpus struct {
@@ -76,11 +83,10 @@ type Corpus struct {
 	// intern maps each distinct callback-type string to a dense ID. The
 	// table only grows (a handful of kinds exist), never per-admission.
 	intern map[string]int32
-	// dpPrev/dpCur are the Levenshtein scratch rows, reused across every
-	// member comparison of every Admit call; guarded by mu.
-	dpPrev, dpCur []int
-	// candScratch holds the interned candidate between per-member DPs.
+	// candScratch holds the interned candidate and pat its compiled form,
+	// both reused by every Admit call; guarded by mu.
 	candScratch []int32
+	pat         sched.Pattern
 }
 
 type corpusEntry struct {
@@ -128,7 +134,8 @@ const DefaultSeenWindow = 1 << 16
 // the member count (<= 0 means DefaultCorpusCapacity); truncate bounds the
 // stored length of each schedule (<= 0 means DefaultScheduleTruncate) —
 // both the digest and the distance are computed over the truncated prefix,
-// bounding the O(n*m) Levenshtein cost per admission.
+// bounding each member's scan at O(n·⌈n/64⌉) word operations for a
+// truncation of n.
 func NewCorpus(threshold float64, capacity, truncate int) *Corpus {
 	if capacity <= 0 {
 		capacity = DefaultCorpusCapacity
@@ -173,36 +180,15 @@ func (c *Corpus) Len() int {
 	return len(c.entries)
 }
 
-// internTypes maps types through the intern table into dst (reused when
-// capacity allows). Caller holds c.mu.
-func (c *Corpus) internTypes(types []string, dst []int32) []int32 {
-	dst = dst[:0]
-	for _, s := range types {
-		id, ok := c.intern[s]
-		if !ok {
-			id = int32(len(c.intern))
-			c.intern[s] = id
-		}
-		dst = append(dst, id)
-	}
-	return dst
-}
-
 // nearest returns the minimum normalized Levenshtein distance from cand to
-// any member and that member's index (1, -1 on an empty corpus), reusing the
-// corpus scratch rows. Caller holds c.mu.
-//
-// The scan is distance-bounded: only a member strictly nearer than the best
-// found so far can change the answer, so each DP after the first runs with
-// limit ≈ best·n and abandons as soon as a whole row exceeds it. Against a
-// corpus whose nearest member is close (the steady state of a long campaign
-// offering mutated variants of its own members), the bound collapses after
-// the first hit and every remaining member costs O(limit·n) instead of
-// O(n·m) — this is what makes million-trial fleet campaigns affordable. The
-// returned (distance, index) pair is bit-identical to an unbounded scan:
-// members are visited in entry order and a skipped member provably could not
-// have improved (or tied) the running best.
+// any member and that member's index (1, -1 on an empty corpus). It
+// compiles cand into the corpus's Pattern and scans each member as the
+// text, so every distance is exact; members are visited in entry order and
+// only a strictly nearer one replaces the running best. Caller holds c.mu,
+// and cand's IDs come from c.intern.
 func (c *Corpus) nearest(cand []int32) (float64, int) {
+	// cand was interned last, so the table covers every member's IDs too.
+	c.pat.Compile(cand, len(c.intern))
 	best, idx := 1.0, -1
 	for i := range c.entries {
 		ids := c.entries[i].ids
@@ -216,7 +202,7 @@ func (c *Corpus) nearest(cand []int32) (float64, int) {
 		}
 		// |len(a)-len(b)| lower-bounds the edit distance: a longer-by-k
 		// schedule needs at least k insertions. If even that floor cannot
-		// strictly improve on best, the DP cannot either.
+		// strictly improve on best, the scan cannot either.
 		diff := len(cand) - len(ids)
 		if diff < 0 {
 			diff = -diff
@@ -224,21 +210,7 @@ func (c *Corpus) nearest(cand []int32) (float64, int) {
 		if idx != -1 && float64(diff)/float64(n) >= best {
 			continue
 		}
-		// Distances up to floor(best·n)+1 are computed exactly; anything
-		// beyond provably satisfies d/n > best and cannot replace the
-		// current nearest. The first member runs unbounded (limit = n is
-		// the distance ceiling).
-		limit := n
-		if idx != -1 {
-			if l := int(best*float64(n)) + 1; l < limit {
-				limit = l
-			}
-		}
-		d := c.levenshteinIDs(cand, ids, limit)
-		if d > limit {
-			continue
-		}
-		dn := float64(d) / float64(n)
+		dn := float64(c.pat.Distance(ids)) / float64(n)
 		if idx == -1 || dn < best {
 			best, idx = dn, i
 		}
@@ -247,61 +219,6 @@ func (c *Corpus) nearest(cand []int32) (float64, int) {
 		return 1, -1
 	}
 	return best, idx
-}
-
-// levenshteinIDs is the classic two-row edit-distance DP over interned
-// schedules, running in the corpus's shared scratch rows, bounded by limit:
-// it returns the exact distance when it is <= limit and limit+1 otherwise.
-// The row minimum of the DP is non-decreasing in the row index (every cell
-// derives from a previous-row or left neighbour by a +0/+1 step), so once an
-// entire row exceeds limit the final distance must too and the scan stops —
-// a far member costs O(limit·m) rather than O(n·m). Caller holds c.mu.
-func (c *Corpus) levenshteinIDs(a, b []int32, limit int) int {
-	if len(a) < len(b) {
-		a, b = b, a
-	}
-	if len(a)-len(b) > limit {
-		return limit + 1
-	}
-	if len(b) == 0 {
-		return len(a)
-	}
-	if cap(c.dpPrev) < len(b)+1 {
-		c.dpPrev = make([]int, len(b)+1)
-		c.dpCur = make([]int, len(b)+1)
-	}
-	prev, cur := c.dpPrev[:len(b)+1], c.dpCur[:len(b)+1]
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(a); i++ {
-		cur[0] = i
-		rowMin := i
-		ai := a[i-1]
-		for j := 1; j <= len(b); j++ {
-			best := prev[j-1]
-			if ai != b[j-1] {
-				best++
-			}
-			if v := prev[j] + 1; v < best {
-				best = v
-			}
-			if v := cur[j-1] + 1; v < best {
-				best = v
-			}
-			cur[j] = best
-			if best < rowMin {
-				rowMin = best
-			}
-		}
-		prev, cur = cur, prev
-		if rowMin > limit {
-			c.dpPrev, c.dpCur = cur, prev
-			return limit + 1
-		}
-	}
-	c.dpPrev, c.dpCur = cur, prev // keep the backing arrays adopted
-	return prev[len(b)]
 }
 
 // Admit offers a type schedule to the corpus and reports what happened. The
@@ -336,24 +253,26 @@ func (c *Corpus) AdmitWithCoverage(types []string, cov *oracle.CoverageDigest) A
 	}
 	c.markSeenLocked(d)
 
-	c.candScratch = c.internTypes(types, c.candScratch)
+	c.candScratch = sched.InternKinds(c.intern, types, c.candScratch[:0])
 	novelty, nearest := c.nearest(c.candScratch)
 	adm.Novelty = novelty
 	adm.CoverageAdmitted = len(adm.NewPairs) > 0 || adm.NewHB
 	if len(c.entries) > 0 && novelty <= c.threshold && !adm.CoverageAdmitted {
 		return adm
 	}
+	var e corpusEntry
 	if len(c.entries) >= c.capacity {
-		// Displace the member the newcomer is most redundant with.
-		delete(c.members, c.entries[nearest].digest)
+		// Displace the member the newcomer is most redundant with, and
+		// keep its storage for the newcomer: no copy of it escapes.
+		e = c.entries[nearest]
+		delete(c.members, e.digest)
 		c.entries = append(c.entries[:nearest], c.entries[nearest+1:]...)
 		adm.Evicted = true
 	}
-	cp := make([]string, len(types))
-	copy(cp, types)
-	ids := make([]int32, len(c.candScratch))
-	copy(ids, c.candScratch)
-	c.entries = append(c.entries, corpusEntry{digest: d, types: cp, ids: ids})
+	e.digest = d
+	e.types = append(e.types[:0], types...)
+	e.ids = append(e.ids[:0], c.candScratch...)
+	c.entries = append(c.entries, e)
 	c.members[d] = true
 	adm.Admitted = true
 	return adm

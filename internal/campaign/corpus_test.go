@@ -233,10 +233,12 @@ func TestCorpusSeedCoverage(t *testing.T) {
 	}
 }
 
-// TestCorpusNearestMatchesReference: the interned, scratch-row, length-
-// pruned nearest-neighbour scan must agree exactly with the straightforward
-// sched.NearestNLD over the same schedules — novelty feeds the bandit's
-// reward, so a drifting fast path would silently bias the campaign.
+// TestCorpusNearestMatchesReference: the interned, bit-parallel, length-
+// pruned nearest-neighbour scan must agree exactly with a straightforward
+// sched.NormalizedLevenshtein loop over the same schedules — novelty feeds
+// the bandit's reward, so a drifting fast path would silently bias the
+// campaign. Lengths run from 0 to the default truncation of 256, so
+// candidates and members span one to four 64-bit words.
 func TestCorpusNearestMatchesReference(t *testing.T) {
 	kinds := []string{"timer", "net-read", "work", "work-done", "close", "imm"}
 	mk := func(seed, n int) []string {
@@ -252,11 +254,16 @@ func TestCorpusNearestMatchesReference(t *testing.T) {
 	c := NewCorpus(0, 64, 0) // threshold 0: admit everything non-duplicate
 	var pool [][]string
 	for i := 0; i < 40; i++ {
-		cand := mk(i, 5+i%37)
-		wantD, _ := sched.NearestNLD(cand, pool)
+		cand := mk(i, i*DefaultScheduleTruncate/39)
+		wantD := 1.0
+		for j, p := range pool {
+			if d := sched.NormalizedLevenshtein(cand, p); j == 0 || d < wantD {
+				wantD = d
+			}
+		}
 
 		c.mu.Lock()
-		c.candScratch = c.internTypes(cand, c.candScratch)
+		c.candScratch = sched.InternKinds(c.intern, cand, c.candScratch[:0])
 		gotD, gotI := c.nearest(c.candScratch)
 		c.mu.Unlock()
 

@@ -66,6 +66,16 @@ func Diff(a, b []string) []DiffOp {
 	return out
 }
 
+func min3(a, b, c int) int {
+	if b < a {
+		a = b
+	}
+	if c < a {
+		a = c
+	}
+	return a
+}
+
 // FormatDiff renders an edit script, eliding runs of unchanged elements
 // longer than context*2.
 func FormatDiff(ops []DiffOp, context int) string {

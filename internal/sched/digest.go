@@ -11,7 +11,7 @@ import (
 // kinds are short printable identifiers and never contain NUL).
 //
 // Digests give the campaign corpus O(1) exact-duplicate detection before it
-// pays for the O(n*m) Levenshtein novelty computation.
+// pays for the nearest-neighbour Levenshtein scan behind novelty.
 func Digest(types []string) uint64 {
 	h := fnv.New64a()
 	for _, s := range types {
@@ -30,21 +30,4 @@ func DigestString(d uint64) string {
 		s = "0" + s
 	}
 	return s
-}
-
-// NearestNLD returns the minimum normalized Levenshtein distance from types
-// to any schedule in pool, and the index of that nearest neighbour. An empty
-// pool has distance 1 (maximally novel) and index -1.
-func NearestNLD(types []string, pool [][]string) (float64, int) {
-	best, idx := 1.0, -1
-	for i, p := range pool {
-		d := NormalizedLevenshtein(types, p)
-		if idx == -1 || d < best {
-			best, idx = d, i
-		}
-	}
-	if idx == -1 {
-		return 1, -1
-	}
-	return best, idx
 }

@@ -30,22 +30,3 @@ func TestDigestString(t *testing.T) {
 		t.Fatal("digest string not fixed width")
 	}
 }
-
-func TestNearestNLD(t *testing.T) {
-	if d, i := NearestNLD([]string{"a"}, nil); d != 1 || i != -1 {
-		t.Fatalf("empty pool: got %v, %d", d, i)
-	}
-	pool := [][]string{
-		{"a", "b", "c", "d"},
-		{"a", "b", "c"},
-		{"x", "y", "z"},
-	}
-	d, i := NearestNLD([]string{"a", "b", "c"}, pool)
-	if i != 1 || d != 0 {
-		t.Fatalf("expected exact match at index 1, got d=%v i=%d", d, i)
-	}
-	d, i = NearestNLD([]string{"x", "y"}, pool)
-	if i != 2 {
-		t.Fatalf("nearest neighbour should be index 2, got %d (d=%v)", i, d)
-	}
-}

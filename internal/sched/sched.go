@@ -133,63 +133,42 @@ type TypeCount struct {
 // Levenshtein returns the edit distance (insertions, deletions,
 // substitutions, unit cost each) between the two type schedules.
 //
-// It uses the classic two-row dynamic program: O(len(a)*len(b)) time,
-// O(min(len(a),len(b))) space.
+// It interns both schedules' kinds to dense IDs and runs the bit-vector
+// kernel (Pattern) with the shorter schedule as the pattern:
+// O(max·⌈min/64⌉) word operations for schedules of lengths max and min.
 func Levenshtein(a, b []string) int {
 	if len(a) < len(b) {
 		a, b = b, a
 	}
-	// b is now the shorter schedule.
-	if len(b) == 0 {
-		return len(a)
-	}
-	prev := make([]int, len(b)+1)
-	cur := make([]int, len(b)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(a); i++ {
-		cur[0] = i
-		ai := a[i-1]
-		for j := 1; j <= len(b); j++ {
-			cost := 1
-			if ai == b[j-1] {
-				cost = 0
-			}
-			cur[j] = min3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(b)]
-}
-
-func min3(a, b, c int) int {
-	if b < a {
-		a = b
-	}
-	if c < a {
-		a = c
-	}
-	return a
+	kinds := make(map[string]int32)
+	ids := make([]int32, 0, len(a)+len(b))
+	ids = InternKinds(kinds, b, ids)
+	ids = InternKinds(kinds, a, ids)
+	var p Pattern
+	p.Compile(ids[:len(b)], len(kinds))
+	return p.Distance(ids[len(b):])
 }
 
 // NormalizedLevenshtein returns Levenshtein(a, b) divided by the maximum
 // possible distance, max(len(a), len(b)), so 0 means identical schedules and
 // 1 means nothing in common. Two empty schedules have distance 0.
 func NormalizedLevenshtein(a, b []string) float64 {
-	n := len(a)
-	if len(b) > n {
-		n = len(b)
-	}
+	return normalize(Levenshtein(a, b), len(a), len(b))
+}
+
+// normalize divides distance d between schedules of lengths la and lb by
+// max(la, lb), taking two empty schedules to 0.
+func normalize(d, la, lb int) float64 {
+	n := max(la, lb)
 	if n == 0 {
 		return 0
 	}
-	return float64(Levenshtein(a, b)) / float64(n)
+	return float64(d) / float64(n)
 }
 
 // Truncate returns the first n elements of the schedule (or the schedule
 // itself if shorter). Figure 7 considers only the first 20K callbacks of
-// each schedule due to the cost of the Levenshtein DP.
+// each schedule, as the paper does: its Levenshtein DP is quadratic.
 func Truncate(s []string, n int) []string {
 	if n >= 0 && len(s) > n {
 		return s[:n]
@@ -201,19 +180,25 @@ func Truncate(s []string, n int) []string {
 // unordered pairs of the given schedules, truncating each schedule to
 // truncate callbacks first (truncate < 0 means no truncation). This is the
 // Figure 7 statistic. It returns 0 when fewer than two schedules are given.
+//
+// Each schedule is compiled once as a Pattern and scanned against every
+// later one; pairs are summed in (i, j) order, i < j.
 func MeanPairwiseNLD(schedules [][]string, truncate int) float64 {
 	if len(schedules) < 2 {
 		return 0
 	}
-	ts := make([][]string, len(schedules))
+	kinds := make(map[string]int32)
+	ids := make([][]int32, len(schedules))
 	for i, s := range schedules {
-		ts[i] = Truncate(s, truncate)
+		ids[i] = InternKinds(kinds, Truncate(s, truncate), nil)
 	}
+	var p Pattern
 	var sum float64
 	var pairs int
-	for i := 0; i < len(ts); i++ {
-		for j := i + 1; j < len(ts); j++ {
-			sum += NormalizedLevenshtein(ts[i], ts[j])
+	for i := 0; i < len(ids)-1; i++ {
+		p.Compile(ids[i], len(kinds))
+		for j := i + 1; j < len(ids); j++ {
+			sum += normalize(p.Distance(ids[j]), len(ids[i]), len(ids[j]))
 			pairs++
 		}
 	}
