@@ -269,7 +269,7 @@ func BenchmarkLoopNextTick(b *testing.B) {
 }
 
 func BenchmarkQueueWork(b *testing.B) {
-	l := eventloop.New(eventloop.Options{PoolSize: 4})
+	l := eventloop.New(eventloop.Options{})
 	done := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -515,7 +515,7 @@ func BenchmarkCorpusAdmit(b *testing.B) {
 		const schedLen = 1000
 		c := campaign.NewCorpus(0.05, 32, schedLen)
 		for i := 0; i < 32; i++ {
-			c.Admit(mk(i, schedLen))
+			c.AdmitWithCoverage(mk(i, schedLen), nil)
 		}
 		cand := mk(0, schedLen)
 		b.ReportAllocs()
@@ -527,7 +527,7 @@ func BenchmarkCorpusAdmit(b *testing.B) {
 			for k := 0; k < 4; k++ {
 				cand[(i*131+k*257)%schedLen] = kinds[(i+k)%len(kinds)]
 			}
-			c.Admit(cand)
+			c.AdmitWithCoverage(cand, nil)
 		}
 	})
 	b.Run("far", func(b *testing.B) {
@@ -539,13 +539,13 @@ func BenchmarkCorpusAdmit(b *testing.B) {
 		// offers reuse evicted members' storage.
 		for i := 0; i < 2*campaign.DefaultCorpusCapacity; i++ {
 			x = fill(cand, x)
-			c.Admit(cand)
+			c.AdmitWithCoverage(cand, nil)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			x = fill(cand, x)
-			if adm := c.Admit(cand); !adm.Admitted || !adm.Evicted {
+			if adm := c.AdmitWithCoverage(cand, nil); !adm.Admitted || !adm.Evicted {
 				b.Fatalf("offer %d: admitted %v, evicted %v (novelty %v)", i, adm.Admitted, adm.Evicted, adm.Novelty)
 			}
 		}

@@ -15,7 +15,7 @@ import (
 // with the fuzzer's serialized callbacks (§4.3.3) the writes cannot
 // overlap at all. It returns whether the final file mixes both writers.
 func pageRaceTrial(sched eventloop.Scheduler, seed int64) (mixed bool) {
-	l := eventloop.New(eventloop.Options{Scheduler: sched, PoolSize: 4})
+	l := eventloop.New(eventloop.Options{Scheduler: sched})
 	fs := simfs.NewPageSize(64)
 	fs.SetPageWriteDelay(300 * time.Microsecond)
 	const pages = 6

@@ -23,11 +23,13 @@ import (
 //     DefaultSeenWindow) so a million-trial campaign holds a bounded digest
 //     set rather than one entry per trial forever; member digests are
 //     pinned and never age out;
-//   - a schedule is admitted when its distance to its nearest corpus
-//     neighbour strictly exceeds the novelty threshold (distance exactly at
-//     the threshold is rejected), OR — via AdmitWithCoverage — when its
-//     trial contributed a never-seen racing pair or HB-edge-set digest to
-//     the campaign-global interleaving-coverage map;
+//   - a live offer (AdmitWithCoverage) is admitted when its distance to
+//     its nearest corpus neighbour strictly exceeds the novelty threshold
+//     (distance exactly at the threshold is rejected), OR when its trial
+//     contributed a never-seen racing pair or HB-edge-set digest to the
+//     campaign-global interleaving-coverage map;
+//   - a journal replay (Admit) re-enacts an admission the live run already
+//     decided, so it skips both tests;
 //   - at capacity, admitting evicts the new schedule's nearest neighbour —
 //     the member it is most redundant with — keeping the corpus spread out.
 //
@@ -84,7 +86,7 @@ type Corpus struct {
 	// table only grows (a handful of kinds exist), never per-admission.
 	intern map[string]int32
 	// candScratch holds the interned candidate and pat its compiled form,
-	// both reused by every Admit call; guarded by mu.
+	// both reused by every offer; guarded by mu.
 	candScratch []int32
 	pat         sched.Pattern
 }
@@ -95,7 +97,7 @@ type corpusEntry struct {
 	ids    []int32 // types interned through Corpus.intern
 }
 
-// Admission reports the outcome of one Corpus.Admit call.
+// Admission reports the outcome of one offer to the corpus.
 type Admission struct {
 	// Novelty is the normalized Levenshtein distance to the nearest corpus
 	// member at offer time (1 for the first offer, 0 for exact duplicates).
@@ -221,23 +223,35 @@ func (c *Corpus) nearest(cand []int32) (float64, int) {
 	return best, idx
 }
 
-// Admit offers a type schedule to the corpus and reports what happened. The
-// offered slice is copied when retained; callers may reuse it.
+// Admit re-admits a schedule that a live offer admitted: the journal-replay
+// entry point a resumed campaign rebuilds its corpus through. It skips the
+// novelty threshold, because the live offer may have entered on coverage
+// that replay cannot re-derive, but keeps duplicate detection and, at
+// capacity, nearest-neighbour eviction, so replaying a journal's admissions
+// in trial order rebuilds the live corpus exactly. The offered slice is
+// copied when retained; callers may reuse it.
 func (c *Corpus) Admit(types []string) Admission {
-	return c.AdmitWithCoverage(types, nil)
+	return c.offer(types, nil, true)
 }
 
-// AdmitWithCoverage is Admit plus interleaving-coverage feedback: the
-// trial's CoverageDigest is folded into the campaign-global coverage map,
-// and a schedule that contributes a never-seen racing pair or HB-edge-set
-// digest is admitted even when its Levenshtein novelty falls below the
-// threshold. cov == nil degenerates to plain novelty admission.
+// AdmitWithCoverage offers a live trial's type schedule to the corpus and
+// reports what happened. The trial's CoverageDigest is folded into the
+// campaign-global coverage map, and a schedule that contributes a never-seen
+// racing pair or HB-edge-set digest is admitted even when its Levenshtein
+// novelty falls below the threshold. cov == nil means plain novelty
+// admission. The offered slice is copied when retained; callers may reuse
+// it.
 //
 // Coverage is folded for every offer — including exact duplicates, whose
 // interleaving can still differ from the earlier run of the same type
 // schedule — but a duplicate is never (re-)admitted: the corpus stores only
 // the type schedule, so admitting it again would add nothing.
 func (c *Corpus) AdmitWithCoverage(types []string, cov *oracle.CoverageDigest) Admission {
+	return c.offer(types, cov, false)
+}
+
+// offer is the one admission path; replay skips the novelty threshold.
+func (c *Corpus) offer(types []string, cov *oracle.CoverageDigest, replay bool) Admission {
 	types = sched.Truncate(types, c.truncate)
 	d := sched.Digest(types)
 
@@ -257,7 +271,7 @@ func (c *Corpus) AdmitWithCoverage(types []string, cov *oracle.CoverageDigest) A
 	novelty, nearest := c.nearest(c.candScratch)
 	adm.Novelty = novelty
 	adm.CoverageAdmitted = len(adm.NewPairs) > 0 || adm.NewHB
-	if len(c.entries) > 0 && novelty <= c.threshold && !adm.CoverageAdmitted {
+	if !replay && len(c.entries) > 0 && novelty <= c.threshold && !adm.CoverageAdmitted {
 		return adm
 	}
 	var e corpusEntry

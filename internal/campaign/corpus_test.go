@@ -10,7 +10,7 @@ import (
 
 func TestCorpusFirstAdmissionIsMaximallyNovel(t *testing.T) {
 	c := NewCorpus(0.5, 4, 0)
-	adm := c.Admit([]string{"a", "b"})
+	adm := c.AdmitWithCoverage([]string{"a", "b"}, nil)
 	if !adm.Admitted || adm.Novelty != 1 || adm.Duplicate {
 		t.Fatalf("first admission: %+v", adm)
 	}
@@ -21,11 +21,11 @@ func TestCorpusFirstAdmissionIsMaximallyNovel(t *testing.T) {
 
 func TestCorpusThresholdBoundary(t *testing.T) {
 	c := NewCorpus(0.5, 4, 0)
-	c.Admit([]string{"a", "b"})
+	c.AdmitWithCoverage([]string{"a", "b"}, nil)
 
 	// NLD([a b],[a c]) = 1/2 = exactly the threshold: must be rejected
 	// (admission requires strictly greater).
-	adm := c.Admit([]string{"a", "c"})
+	adm := c.AdmitWithCoverage([]string{"a", "c"}, nil)
 	if adm.Admitted {
 		t.Fatalf("distance exactly at threshold must be rejected: %+v", adm)
 	}
@@ -34,7 +34,7 @@ func TestCorpusThresholdBoundary(t *testing.T) {
 	}
 
 	// NLD([a b],[c d]) = 1 > 0.5: admitted.
-	adm = c.Admit([]string{"c", "d"})
+	adm = c.AdmitWithCoverage([]string{"c", "d"}, nil)
 	if !adm.Admitted || adm.Novelty != 1 {
 		t.Fatalf("distance above threshold must be admitted: %+v", adm)
 	}
@@ -45,18 +45,18 @@ func TestCorpusThresholdBoundary(t *testing.T) {
 
 func TestCorpusDuplicateRejection(t *testing.T) {
 	c := NewCorpus(0.5, 4, 0)
-	c.Admit([]string{"a", "b", "c"})
-	adm := c.Admit([]string{"a", "b", "c"})
+	c.AdmitWithCoverage([]string{"a", "b", "c"}, nil)
+	adm := c.AdmitWithCoverage([]string{"a", "b", "c"}, nil)
 	if adm.Admitted || !adm.Duplicate || adm.Novelty != 0 {
 		t.Fatalf("duplicate admission: %+v", adm)
 	}
 	// A schedule rejected by threshold is also remembered: re-offering it is
 	// a duplicate, not a second novelty computation.
-	rej := c.Admit([]string{"a", "b", "x"})
+	rej := c.AdmitWithCoverage([]string{"a", "b", "x"}, nil)
 	if rej.Admitted {
 		t.Fatalf("expected threshold rejection: %+v", rej)
 	}
-	again := c.Admit([]string{"a", "b", "x"})
+	again := c.AdmitWithCoverage([]string{"a", "b", "x"}, nil)
 	if !again.Duplicate {
 		t.Fatalf("re-offered rejected schedule should be a duplicate: %+v", again)
 	}
@@ -66,13 +66,13 @@ func TestCorpusCapacityEvictsNearestNeighbour(t *testing.T) {
 	c := NewCorpus(0.2, 2, 0)
 	a := []string{"a", "a", "a", "a"}
 	b := []string{"b", "b", "b", "b"}
-	c.Admit(a)
-	c.Admit(b)
+	c.AdmitWithCoverage(a, nil)
+	c.AdmitWithCoverage(b, nil)
 
 	// NLD to b = 1/4 > 0.2, NLD to a = 1: nearest neighbour is b, which
 	// must be the one evicted.
 	incoming := []string{"b", "b", "b", "c"}
-	adm := c.Admit(incoming)
+	adm := c.AdmitWithCoverage(incoming, nil)
 	if !adm.Admitted || !adm.Evicted {
 		t.Fatalf("expected admission with eviction: %+v", adm)
 	}
@@ -90,8 +90,37 @@ func TestCorpusCapacityEvictsNearestNeighbour(t *testing.T) {
 	}
 	// The evicted schedule's digest stays in the seen-set: re-offering it is
 	// still a duplicate, so corpora never thrash on a repeating schedule.
-	if adm := c.Admit(b); !adm.Duplicate {
+	if adm := c.AdmitWithCoverage(b, nil); !adm.Duplicate {
 		t.Fatalf("evicted schedule re-offered should be duplicate: %+v", adm)
+	}
+}
+
+// TestCorpusAdmitReplays: Admit, the journal-replay path, re-enacts an
+// admission the live run decided. It admits a schedule below the novelty
+// threshold (the live offer may have entered on coverage), still rejects a
+// duplicate, and at capacity still evicts the newcomer's nearest neighbour.
+func TestCorpusAdmitReplays(t *testing.T) {
+	c := NewCorpus(0.5, 2, 0)
+	first := []string{"a", "b", "c", "d"}
+	low := []string{"a", "b", "c", "e"} // NLD 0.25 to first
+	c.Admit(first)
+	if adm := c.Admit(low); !adm.Admitted || adm.Novelty != 0.25 || adm.Evicted {
+		t.Fatalf("below-threshold replay must be admitted: %+v", adm)
+	}
+	if adm := c.Admit(low); adm.Admitted || !adm.Duplicate {
+		t.Fatalf("duplicate replay must be rejected: %+v", adm)
+	}
+	// NLD 0.25 to low, 0.5 to first: low is the nearest and is evicted.
+	incoming := []string{"a", "b", "x", "e"}
+	if adm := c.Admit(incoming); !adm.Admitted || !adm.Evicted {
+		t.Fatalf("replay at capacity must admit and evict: %+v", adm)
+	}
+	want := map[string]bool{
+		sched.DigestString(sched.Digest(first)):    true,
+		sched.DigestString(sched.Digest(incoming)): true,
+	}
+	if d := c.Digests(); len(d) != 2 || !want[d[0]] || !want[d[1]] {
+		t.Fatalf("members %v, want first and incoming (low evicted)", d)
 	}
 }
 
@@ -99,8 +128,8 @@ func TestCorpusTruncationBoundsComparison(t *testing.T) {
 	c := NewCorpus(0.1, 4, 3)
 	long1 := []string{"a", "b", "c", "d", "e"}
 	long2 := []string{"a", "b", "c", "x", "y"} // same truncated prefix
-	c.Admit(long1)
-	adm := c.Admit(long2)
+	c.AdmitWithCoverage(long1, nil)
+	adm := c.AdmitWithCoverage(long2, nil)
 	if !adm.Duplicate {
 		t.Fatalf("schedules equal after truncation must be duplicates: %+v", adm)
 	}
@@ -115,7 +144,7 @@ func TestCorpusMarkSeen(t *testing.T) {
 	c := NewCorpus(0.1, 4, 0)
 	s := []string{"a", "b"}
 	c.MarkSeen(sched.DigestString(sched.Digest(s)))
-	if adm := c.Admit(s); !adm.Duplicate {
+	if adm := c.AdmitWithCoverage(s, nil); !adm.Duplicate {
 		t.Fatalf("marked digest should be duplicate: %+v", adm)
 	}
 	c.MarkSeen("not-hex") // ignored, must not panic
@@ -135,7 +164,7 @@ func TestCorpusSeenWindowBounded(t *testing.T) {
 		return []string{"a", fmt.Sprintf("k%d", i)}
 	}
 	for i := 0; i < 1000; i++ {
-		c.Admit(distinct(i))
+		c.AdmitWithCoverage(distinct(i), nil)
 		// Steady state: both generations plus pinned members never exceed
 		// 2×window + capacity.
 		if got, limit := c.SeenSize(), 2*c.seenWindow+c.capacity; got > limit {
@@ -144,12 +173,12 @@ func TestCorpusSeenWindowBounded(t *testing.T) {
 	}
 	// Exactness over the window: a schedule offered within the last
 	// `window` offers is still a duplicate.
-	if adm := c.Admit(distinct(999)); !adm.Duplicate {
+	if adm := c.AdmitWithCoverage(distinct(999), nil); !adm.Duplicate {
 		t.Fatalf("recent offer not detected as duplicate: %+v", adm)
 	}
 	// Members never age out of duplicate detection, no matter how many
 	// offers pass: the first offer was admitted (first is always novel).
-	if adm := c.Admit(distinct(0)); !adm.Duplicate {
+	if adm := c.AdmitWithCoverage(distinct(0), nil); !adm.Duplicate {
 		t.Fatalf("corpus member aged out of duplicate detection: %+v", adm)
 	}
 }
@@ -160,7 +189,7 @@ func TestCorpusSeenWindowBounded(t *testing.T) {
 // greybox signal.
 func TestCorpusCoverageAdmission(t *testing.T) {
 	c := NewCorpus(0.5, 8, 0)
-	c.Admit([]string{"a", "b", "c", "d"})
+	c.AdmitWithCoverage([]string{"a", "b", "c", "d"}, nil)
 
 	// One edit in four: NLD 0.25 <= 0.5, rejected on the novelty path.
 	lowNovelty := []string{"a", "b", "c", "e"}
@@ -221,7 +250,7 @@ func TestCorpusSeedCoverage(t *testing.T) {
 	if pairs != 1 || digests != 1 || tuples != 1 {
 		t.Fatalf("CoverageStats after seed = %d/%d/%d, want 1/1/1", pairs, digests, tuples)
 	}
-	c.Admit([]string{"a", "b", "c", "d"})
+	c.AdmitWithCoverage([]string{"a", "b", "c", "d"}, nil)
 	cov := &oracle.CoverageDigest{
 		RacingPairs: []string{"timer|close"},
 		HBDigest:    "0000000000000abc",
@@ -274,7 +303,7 @@ func TestCorpusNearestMatchesReference(t *testing.T) {
 			t.Fatalf("offer %d: nearest index %d does not achieve reference distance %v", i, gotI, wantD)
 		}
 
-		if adm := c.Admit(cand); !adm.Admitted {
+		if adm := c.AdmitWithCoverage(cand, nil); !adm.Admitted {
 			t.Fatalf("offer %d: not admitted at threshold 0 (novelty %v)", i, adm.Novelty)
 		}
 		pool = append(pool, cand)

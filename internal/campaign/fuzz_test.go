@@ -55,7 +55,7 @@ func FuzzCorpusAdmit(f *testing.F) {
 		// after every single admission.
 		base := NewCorpus(threshold, capacity, 0)
 		for _, s := range schedules {
-			adm := base.Admit(s)
+			adm := base.AdmitWithCoverage(s, nil)
 			if base.Len() > capacity {
 				t.Fatalf("capacity %d exceeded: len=%d", capacity, base.Len())
 			}
@@ -70,8 +70,8 @@ func FuzzCorpusAdmit(f *testing.F) {
 		// Duplicates interleaved immediately after each offer...
 		interleaved := NewCorpus(threshold, capacity, 0)
 		for _, s := range schedules {
-			interleaved.Admit(s)
-			if adm := interleaved.Admit(s); adm.Admitted || !adm.Duplicate {
+			interleaved.AdmitWithCoverage(s, nil)
+			if adm := interleaved.AdmitWithCoverage(s, nil); adm.Admitted || !adm.Duplicate {
 				t.Fatalf("immediate duplicate mutated corpus: %+v", adm)
 			}
 		}
@@ -79,10 +79,10 @@ func FuzzCorpusAdmit(f *testing.F) {
 		// end up exactly where the duplicate-free sequence put it.
 		appended := NewCorpus(threshold, capacity, 0)
 		for _, s := range schedules {
-			appended.Admit(s)
+			appended.AdmitWithCoverage(s, nil)
 		}
 		for _, s := range schedules {
-			appended.Admit(s)
+			appended.AdmitWithCoverage(s, nil)
 		}
 		want := sortedDigests(base)
 		if got := sortedDigests(interleaved); !reflect.DeepEqual(got, want) {
@@ -95,7 +95,7 @@ func FuzzCorpusAdmit(f *testing.F) {
 		// Every current member, re-offered, is a duplicate and changes
 		// nothing.
 		for _, s := range base.Schedules() {
-			if adm := base.Admit(s); adm.Admitted || !adm.Duplicate {
+			if adm := base.AdmitWithCoverage(s, nil); adm.Admitted || !adm.Duplicate {
 				t.Fatalf("re-offered member not reported duplicate: %+v", adm)
 			}
 		}

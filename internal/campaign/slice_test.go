@@ -2,6 +2,11 @@ package campaign
 
 import (
 	"encoding/json"
+	"os"
+	"path/filepath"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"nodefz/internal/bugs"
@@ -60,6 +65,80 @@ func TestCampaignRunEqualsRunRangeChunks(t *testing.T) {
 	}
 	if ran != trials {
 		t.Fatalf("chunks ran %d trials, want %d", ran, trials)
+	}
+}
+
+// TestCampaignResumeEqualsStraightRun: a campaign paused after 45 trials and
+// resumed from its journal ends exactly where a straight run ends — the
+// same corpus members, the same Result and the same final checkpoint
+// record. The campaign is the fleet's KUE child at seed 7, which admits
+// schedules below the novelty threshold for new coverage; resume must
+// re-admit them although its coverage map is seeded only afterwards.
+func TestCampaignResumeEqualsStraightRun(t *testing.T) {
+	const trials, split = 60, 45
+	dir := t.TempDir()
+	open := func(path string, resume bool) *Campaign {
+		c, err := New(Config{
+			App: bugs.ByAbbr("KUE"), Trials: trials, Workers: 1,
+			BaseSeed: TrialSeed(7^0x666c656574, 1),
+			Oracle:   true, Coverage: true, MinimizeTrials: -1,
+			CheckpointPath: path, Resume: resume,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	finish := func(c *Campaign) (*Result, []string) {
+		res, err := c.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := c.corpus.Digests()
+		sort.Strings(d)
+		return res, d
+	}
+	lastCheckpoint := func(path string) string {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := ""
+		for _, line := range strings.Split(string(data), "\n") {
+			if strings.Contains(line, `"type":"checkpoint"`) {
+				last = line
+			}
+		}
+		return last
+	}
+
+	straightPath := filepath.Join(dir, "straight.jsonl")
+	c := open(straightPath, false)
+	c.RunRange(0, trials)
+	straight, straightCorpus := finish(c)
+
+	resumedPath := filepath.Join(dir, "resumed.jsonl")
+	c = open(resumedPath, false)
+	c.RunRange(0, split)
+	finish(c)
+	c = open(resumedPath, true)
+	c.RunRange(split, trials)
+	resumed, resumedCorpus := finish(c)
+
+	if resumed.Resumed != split {
+		t.Fatalf("Resumed = %d, want %d", resumed.Resumed, split)
+	}
+	resumed.Resumed = 0
+	if !reflect.DeepEqual(resumedCorpus, straightCorpus) {
+		t.Errorf("resumed corpus differs: %d members against %d straight", len(resumedCorpus), len(straightCorpus))
+	}
+	wj, _ := json.Marshal(straight)
+	rj, _ := json.Marshal(resumed)
+	if string(wj) != string(rj) {
+		t.Errorf("resumed result differs:\nstraight: %s\nresumed:  %s", wj, rj)
+	}
+	if a, b := lastCheckpoint(straightPath), lastCheckpoint(resumedPath); a == "" || a != b {
+		t.Errorf("final checkpoint records differ:\nstraight: %s\nresumed:  %s", a, b)
 	}
 }
 

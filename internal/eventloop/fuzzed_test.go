@@ -168,14 +168,14 @@ func (r *doneLabels) Record(kind, label string) {
 }
 
 // TestSerializeShapesThePool: Serialize alone decides the pool New builds.
-// A serializing scheduler gets one worker whatever PoolSize asks, and each
-// completion is its own poll event; the vanilla scheduler gets the
-// requested workers, running at once, behind the multiplexed done queue.
+// A serializing scheduler gets one worker, and each completion is its own
+// poll event; the vanilla scheduler gets libuv's four workers, running at
+// once, behind the multiplexed done queue.
 func TestSerializeShapesThePool(t *testing.T) {
-	const tasks = 4
+	const tasks = 4 // one per vanilla worker
 	for _, s := range []eventloop.Scheduler{core.NewScheduler(core.StandardParams(), 3), eventloop.VanillaScheduler{}} {
 		rec := &doneLabels{}
-		l := eventloop.New(eventloop.Options{Scheduler: s, Recorder: rec, PoolSize: tasks})
+		l := eventloop.New(eventloop.Options{Scheduler: s, Recorder: rec})
 		var started, busy, peak atomic.Int64
 		for i := 0; i < tasks; i++ {
 			l.QueueWork("w", func() (any, error) {

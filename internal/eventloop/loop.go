@@ -4,9 +4,10 @@
 // nondeterminism so a Scheduler — in particular the Node.fz scheduler in
 // internal/core — can perturb the schedule.
 //
-// Each loop iteration examines, in turn: timers, pending callbacks,
-// idle/prepare handles, poll (I/O), timers again, check handles
-// (SetImmediate), and close callbacks — the phase order §4.1 describes.
+// Each loop iteration examines, in turn: timers, poll (I/O), timers again,
+// check (SetImmediate), and close callbacks — the phase order §4.1
+// describes, less libuv's pending, idle and prepare phases, which none of
+// the four places Node.fz perturbs (§4.3) needs.
 // Every callback runs on the single loop goroutine; a NextTick microtask
 // queue drains after each callback, before any other event, matching
 // process.nextTick.
@@ -32,7 +33,6 @@ const (
 	KindTimer     = "timer"
 	KindImmediate = "immediate"
 	KindTick      = "tick"
-	KindPending   = "pending"
 	KindClose     = "close"
 	KindWork      = "work"      // task executing on a worker goroutine
 	KindWorkDone  = "work-done" // completion callback on the loop
@@ -45,9 +45,6 @@ type Options struct {
 	Scheduler Scheduler
 	// Recorder captures the type schedule. Nil disables recording.
 	Recorder Recorder
-	// PoolSize is the requested worker-pool size (like UV_THREADPOOL_SIZE,
-	// default 4). A serializing scheduler (the fuzzer) overrides it with 1.
-	PoolSize int
 	// Metrics is the registry the loop (and its worker pool) records
 	// per-phase counts, durations, queue depths, and timer lateness
 	// ("loop.lag_ns") into. Nil turns metrics off: no instruments are
@@ -60,7 +57,7 @@ type Options struct {
 	Clock vclock.Clock
 	// Probe is the concurrency-violation oracle (internal/oracle): the
 	// loop brackets every callback as a unit and threads registration
-	// refs through timers, ticks, immediates, pending/close requests, and
+	// refs through timers, ticks, immediates, close requests, and
 	// pool submissions so the tracker sees the substrate's causality. Nil
 	// (the default) reduces every hook to a nil check.
 	Probe *oracle.Tracker
@@ -68,26 +65,22 @@ type Options struct {
 
 // The loop phases, indexing the per-phase instruments. "ticks" covers the
 // NextTick microtask queue, which drains after every callback; "check"
-// covers check handles plus immediates.
+// covers immediates.
 const (
 	phTicks = iota
 	phTimers
-	phPending
-	phIdle
-	phPrepare
 	phPoll
 	phCheck
 	phClose
 	numPhases
 )
 
-var phaseNames = [numPhases]string{"ticks", "timers", "pending", "idle", "prepare", "poll", "check", "close"}
+var phaseNames = [numPhases]string{"ticks", "timers", "poll", "check", "close"}
 
 // phaseOrder is one loop iteration (§4.1), timers appearing twice.
-var phaseOrder = [...]int{phTicks, phTimers, phPending, phIdle, phPrepare, phPoll, phTimers, phCheck, phClose}
+var phaseOrder = [...]int{phTicks, phTimers, phPoll, phTimers, phCheck, phClose}
 
-// Stats counts scheduler-visible activity during a run; used by tests and
-// the fzrun tool.
+// Stats counts scheduler-visible activity during a run.
 type Stats struct {
 	Callbacks      int64 // callbacks executed on the loop (all kinds)
 	TimersRun      int64
@@ -138,14 +131,12 @@ type Loop struct {
 	timerSeq     uint64
 	ticks        []tickFn
 	immediates   []*immediateReq
-	pendingCBs   []*Event
 	closing      []*closeReq
 	running      bool
 	dueScratch   []*Timer // runTimers batch
 	readyScratch []*Event // poll batch
 	runScratch   []*Event // poll batch's run list (ShuffleReady's output)
 	defScratch   []*Event // poll batch's deferred list (ShuffleReady's output)
-	pendScratch  []*Event // pending-phase batch
 	// Initial backing arrays of runScratch and defScratch: a loop built per
 	// trial (single-shot runs, every cluster node) polls small batches, so
 	// these keep its ShuffleReady output off the heap.
@@ -158,14 +149,14 @@ type Loop struct {
 	phase   int
 	phaseT0 time.Time // when the current phase began (timed runs only)
 
-	phaseHandles map[PhaseKind][]*PhaseHandle
-
 	pool    *pool.Pool
 	runLock sync.Locker // serializes callbacks with worker tasks under the fuzzer
 
 	pollStart atomic.Int64 // unix-nanos when the loop entered poll; 0 otherwise
 	depth     atomic.Int32 // callback nesting guard, used to detect overlap
 
+	// stats is loop-goroutine-only; its TasksExecuted stays 0, as Stats
+	// reads that count from the pool.
 	stats Stats
 
 	// Metrics. The instrument handles are resolved once in New so the hot
@@ -196,9 +187,8 @@ type tickFn struct {
 }
 
 type immediateReq struct {
-	label string
-	fn    func()
-	oref  oracle.Ref
+	fn   func()
+	oref oracle.Ref
 }
 
 type closeReq struct {
@@ -220,19 +210,15 @@ func New(opts Options) *Loop {
 	if opts.Recorder == nil {
 		opts.Recorder = nopRecorder{}
 	}
-	if opts.PoolSize <= 0 {
-		opts.PoolSize = 4
-	}
 	if opts.Clock == nil {
 		opts.Clock = vclock.Wall{}
 	}
 	l := &Loop{
-		sched:        opts.Scheduler,
-		rec:          opts.Recorder,
-		clk:          opts.Clock,
-		probe:        opts.Probe,
-		phaseHandles: make(map[PhaseKind][]*PhaseHandle),
-		reg:          opts.Metrics,
+		sched: opts.Scheduler,
+		rec:   opts.Recorder,
+		clk:   opts.Clock,
+		probe: opts.Probe,
+		reg:   opts.Metrics,
 	}
 	l.runScratch, l.defScratch = l.runInline[:0], l.defInline[:0]
 	l.proc.Init(l.clk, 0, l.step)
@@ -245,8 +231,9 @@ func New(opts Options) *Loop {
 	}
 	// Serialized mode (§4.3.3): callbacks and tasks exclude each other, one
 	// worker runs the tasks, and each completion is its own poll event.
+	// Otherwise the pool has libuv's default four workers.
 	serialize := l.sched.Serialize()
-	size, workLock := opts.PoolSize, sync.Locker(nil)
+	size, workLock := 4, sync.Locker(nil)
 	l.runLock = nopLocker{}
 	if serialize {
 		l.runLock = &sync.Mutex{}
@@ -263,10 +250,7 @@ func New(opts Options) *Loop {
 		Post: func(kind, label string, ref oracle.Ref, cb func()) {
 			l.postEvent(kind, label, cb, nil, ref)
 		},
-		Record: func(kind, label string) {
-			atomic.AddInt64(&l.stats.TasksExecuted, 1)
-			l.rec.Record(kind, label)
-		},
+		Record:     l.rec.Record,
 		TimeInPoll: l.timeInPoll,
 	})
 	return l
@@ -295,18 +279,13 @@ func (l *Loop) oracleRef() oracle.Ref {
 	return l.probe.Current()
 }
 
-// Stats returns a snapshot of the loop's counters.
+// Stats returns the loop's counters. Read it after Run returns: the loop
+// goroutine updates them without synchronization. TasksExecuted is the
+// worker pool's own count of tasks begun.
 func (l *Loop) Stats() Stats {
-	return Stats{
-		Callbacks:      atomic.LoadInt64(&l.stats.Callbacks),
-		TimersRun:      atomic.LoadInt64(&l.stats.TimersRun),
-		TimersDeferred: atomic.LoadInt64(&l.stats.TimersDeferred),
-		EventsRun:      atomic.LoadInt64(&l.stats.EventsRun),
-		EventsDeferred: atomic.LoadInt64(&l.stats.EventsDeferred),
-		ClosesDeferred: atomic.LoadInt64(&l.stats.ClosesDeferred),
-		TasksExecuted:  atomic.LoadInt64(&l.stats.TasksExecuted),
-		Iterations:     atomic.LoadInt64(&l.stats.Iterations),
-	}
+	s := l.stats
+	s.TasksExecuted = int64(l.pool.Executed())
+	return s
 }
 
 // ErrAlreadyRunning is returned by Run if the loop is running.
@@ -357,8 +336,8 @@ const (
 // and returns that wait; the next step resumes where this one stopped.
 //
 // Each iteration walks phaseOrder: ticks queued outside any callback drain
-// first (like process.nextTick from module scope), then timers, pending,
-// idle, prepare, poll, timers again (§4.1), check, close. curPhase
+// first (like process.nextTick from module scope), then timers, poll,
+// timers again (§4.1), check, close. curPhase
 // attributes executed callbacks to the phase, and with a metrics registry
 // every phase is timed into its duration histogram.
 func (l *Loop) step() vclock.Wait {
@@ -386,7 +365,7 @@ func (l *Loop) step() vclock.Wait {
 				l.at = atExit
 				return vclock.Await(l.pool.Shutdown())
 			}
-			atomic.AddInt64(&l.stats.Iterations, 1)
+			l.stats.Iterations++
 			l.phase = 0
 		}
 		l.curPhase = phaseOrder[l.phase]
@@ -404,12 +383,6 @@ func (l *Loop) step() vclock.Wait {
 				l.at = atDelay
 				return vclock.Sleep(d)
 			}
-		case phPending:
-			l.runPendingPhase()
-		case phIdle:
-			l.runPhaseHandles(IdleHandle)
-		case phPrepare:
-			l.runPhaseHandles(PrepareHandle)
 		case phPoll:
 			if timeout := l.pollTimeout(); timeout != 0 {
 				if l.enterPollWait() {
@@ -420,7 +393,6 @@ func (l *Loop) step() vclock.Wait {
 			}
 			l.poll()
 		case phCheck:
-			l.runPhaseHandles(CheckHandle)
 			l.runImmediates()
 		case phClose:
 			l.runClosing()
@@ -459,14 +431,11 @@ func (l *Loop) Reset() {
 	l.ticks = l.ticks[:0]
 	clear(l.immediates)
 	l.immediates = l.immediates[:0]
-	clear(l.pendingCBs)
-	l.pendingCBs = l.pendingCBs[:0]
 	clear(l.closing)
 	l.closing = l.closing[:0]
 	for i, s := range l.srcAll {
 		s.name = ""
 		s.closed = false
-		s.inflight = 0
 		l.srcFree = append(l.srcFree, s)
 		l.srcAll[i] = nil
 	}
@@ -482,7 +451,6 @@ func (l *Loop) Reset() {
 	l.timers = l.timers[:0]
 	l.timerSeq = 0
 	l.running = false
-	clear(l.phaseHandles)
 	clear(l.atExit)
 	l.atExit = l.atExit[:0]
 	l.curPhase = 0
@@ -543,7 +511,7 @@ func (l *Loop) alive() bool {
 	return l.refs > 0 ||
 		len(l.pending) > 0 || len(l.deferred) > 0 ||
 		len(l.ticks) > 0 || len(l.immediates) > 0 ||
-		len(l.pendingCBs) > 0 || len(l.closing) > 0
+		len(l.closing) > 0
 }
 
 func (l *Loop) isStopped() bool {
@@ -635,7 +603,7 @@ func (l *Loop) executeUnit(kind, label string, ref oracle.Ref, key any, cb func(
 // predecessors are ref, xref and, for a non-nil key, the key's previous unit.
 // It does not drain ticks, so a tick that queues ticks cannot recurse.
 func (l *Loop) runUnit(phase int, kind, label string, key any, ref, xref oracle.Ref, cb func()) oracle.Ref {
-	atomic.AddInt64(&l.stats.Callbacks, 1)
+	l.stats.Callbacks++
 	l.phaseCB[phase].Inc()
 	l.runLock.Lock()
 	l.rec.Record(kind, label)
@@ -705,7 +673,6 @@ func (l *Loop) addTimer(d, period time.Duration, label string, cb func()) *Timer
 		loop:     l,
 		cb:       cb,
 		deadline: l.clk.Now().Add(d),
-		dur:      d,
 		period:   period,
 		seq:      l.timerSeq,
 		refed:    true,
@@ -745,7 +712,7 @@ func (l *Loop) runTimers() time.Duration {
 	for _, t := range due[run:] {
 		heap.Push(&l.timers, t)
 	}
-	atomic.AddInt64(&l.stats.TimersDeferred, int64(len(due)-run))
+	l.stats.TimersDeferred += int64(len(due) - run)
 	for _, t := range due[:run] {
 		l.fireTimer(t)
 	}
@@ -778,7 +745,7 @@ func (l *Loop) fireTimer(t *Timer) {
 			l.unref()
 		}
 	}
-	atomic.AddInt64(&l.stats.TimersRun, 1)
+	l.stats.TimersRun++
 	ran := l.executeUnit(KindTimer, t.label, t.oref, nil, t.cb)
 	if t.period > 0 {
 		// Chain interval firings: the next firing happens-after this one
@@ -798,34 +765,6 @@ func (l *Loop) nextTimerWait() (time.Duration, bool) {
 		d = 0
 	}
 	return d, true
-}
-
-// --- pending phase -------------------------------------------------------
-
-// QueuePending schedules cb for the loop's "pending callbacks" phase, used
-// by substrates to finish work deferred from a previous iteration.
-func (l *Loop) QueuePending(label string, cb func()) {
-	l.mu.Lock()
-	ev := l.getEventLocked()
-	ev.Kind, ev.Label, ev.CB, ev.oref = KindPending, label, cb, l.oracleRef()
-	l.pendingCBs = append(l.pendingCBs, ev)
-	l.refs++
-	l.mu.Unlock()
-	l.wakeup()
-}
-
-func (l *Loop) runPendingPhase() {
-	l.mu.Lock()
-	batch := append(l.pendScratch[:0], l.pendingCBs...)
-	l.pendScratch = batch
-	l.pendingCBs = l.pendingCBs[:0]
-	l.mu.Unlock()
-	for _, ev := range batch {
-		l.executeUnit(ev.Kind, ev.Label, ev.oref, nil, ev.CB)
-		l.unref()
-	}
-	l.recycleEvents(batch)
-	l.pendScratch = batch[:0]
 }
 
 // --- poll phase ----------------------------------------------------------
@@ -871,18 +810,17 @@ func (l *Loop) poll() {
 		l.mu.Lock()
 		l.deferred = append(l.deferred, deferred...)
 		l.mu.Unlock()
-		atomic.AddInt64(&l.stats.EventsDeferred, int64(len(deferred)))
+		l.stats.EventsDeferred += int64(len(deferred))
 	}
 	done := 0
 	for _, ev := range run {
 		if ev.src != nil && ev.src.isClosed() {
 			// The handle was closed while the event sat in the queue; its
 			// callbacks must no longer fire (like a closed uv handle).
-			ev.src.release()
 			done++
 			continue
 		}
-		atomic.AddInt64(&l.stats.EventsRun, 1)
+		l.stats.EventsRun++
 		// The source doubles as the oracle's FIFO key: the legality pass
 		// guarantees same-source events execute in arrival order, which is
 		// the per-connection happens-before edge.
@@ -891,9 +829,6 @@ func (l *Loop) poll() {
 			key = ev.src
 		}
 		l.executeUnit(ev.Kind, ev.Label, ev.oref, key, ev.CB)
-		if ev.src != nil {
-			ev.src.release()
-		}
 		done++
 		if l.isStopped() {
 			break
@@ -940,15 +875,10 @@ func (l *Loop) pollTimeout() time.Duration {
 	l.mu.Lock()
 	busy := len(l.pending) > 0 || len(l.deferred) > 0 ||
 		len(l.ticks) > 0 || len(l.immediates) > 0 ||
-		len(l.pendingCBs) > 0 || len(l.closing) > 0 ||
-		l.stopped.Load()
+		len(l.closing) > 0 || l.stopped.Load()
 	refs := l.refs
 	l.mu.Unlock()
 	if busy {
-		return 0
-	}
-	// An active idle handle must run every iteration: never block in poll.
-	if l.hasActivePhase(IdleHandle) {
 		return 0
 	}
 	if d, ok := l.nextTimerWait(); ok {
@@ -964,12 +894,9 @@ func (l *Loop) pollTimeout() time.Duration {
 
 // SetImmediate schedules cb for the check phase of the current (or next)
 // loop iteration, after poll events — Node's setImmediate.
-func (l *Loop) SetImmediate(cb func()) { l.SetImmediateNamed("", cb) }
-
-// SetImmediateNamed is SetImmediate with a schedule label.
-func (l *Loop) SetImmediateNamed(label string, cb func()) {
+func (l *Loop) SetImmediate(cb func()) {
 	l.mu.Lock()
-	l.immediates = append(l.immediates, &immediateReq{label: label, fn: cb, oref: l.oracleRef()})
+	l.immediates = append(l.immediates, &immediateReq{fn: cb, oref: l.oracleRef()})
 	l.refs++
 	l.mu.Unlock()
 	l.wakeup()
@@ -1013,15 +940,7 @@ func (l *Loop) NextTickJoin(label string, join oracle.Ref, cb func()) {
 // immediate, I/O event), nested microtasks drain in the same cycle, and the
 // enqueue registers the scheduling unit as a happens-before predecessor
 // with the oracle exactly as NextTick does.
-func (l *Loop) QueueMicrotask(cb func()) { l.QueueMicrotaskNamed("", cb) }
-
-// QueueMicrotaskNamed is QueueMicrotask with a schedule label.
-func (l *Loop) QueueMicrotaskNamed(label string, cb func()) {
-	if label == "" {
-		label = "microtask"
-	}
-	l.NextTickNamed(label, cb)
-}
+func (l *Loop) QueueMicrotask(cb func()) { l.NextTickNamed("microtask", cb) }
 
 func (l *Loop) runImmediates() {
 	if l.isStopped() {
@@ -1034,7 +953,7 @@ func (l *Loop) runImmediates() {
 	l.immediates = nil
 	l.mu.Unlock()
 	for _, im := range batch {
-		l.executeUnit(KindImmediate, im.label, im.oref, nil, im.fn)
+		l.executeUnit(KindImmediate, "", im.oref, nil, im.fn)
 		l.unref()
 	}
 }
@@ -1070,7 +989,7 @@ func (l *Loop) runClosing() {
 	for i, cr := range batch {
 		if l.sched.DeferClose(cr.label) {
 			kept = append(kept, batch[i])
-			atomic.AddInt64(&l.stats.ClosesDeferred, 1)
+			l.stats.ClosesDeferred++
 			continue
 		}
 		l.executeUnit(KindClose, cr.label, cr.oref, nil, cr.fn)

@@ -2,6 +2,7 @@ package eventloop
 
 import (
 	"errors"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -148,7 +149,7 @@ func TestQueueMicrotaskRunsBeforeMacrotasksAndRecordsLabel(t *testing.T) {
 			order = append(order, "micro1")
 			l.QueueMicrotask(func() { order = append(order, "micro2") })
 		})
-		l.QueueMicrotaskNamed("flush", func() { order = append(order, "named") })
+		l.NextTickNamed("flush", func() { order = append(order, "named") })
 		order = append(order, "timer")
 	})
 	run(t, l)
@@ -229,7 +230,7 @@ func TestQueueWorkKeepsLoopAliveUntilDone(t *testing.T) {
 }
 
 func TestManyWorkItemsAllComplete(t *testing.T) {
-	l := New(Options{PoolSize: 4})
+	l := New(Options{})
 	var n atomic.Int64
 	const total = 200
 	for i := 0; i < total; i++ {
@@ -330,6 +331,33 @@ func TestRunTwiceSequentiallyWorks(t *testing.T) {
 	}
 }
 
+// TestPhaseOrderWithinIteration: one iteration drains top-level ticks,
+// then runs timers, poll events, immediates (check) and close callbacks,
+// in that order.
+func TestPhaseOrderWithinIteration(t *testing.T) {
+	l := New(Options{})
+	var order []string
+	note := func(name string) func() { return func() { order = append(order, name) } }
+	src, h := l.NewSource("s"), l.NewSource("h")
+	l.NextTick(note("tick"))
+	l.SetTimeout(0, func() {
+		order = append(order, "timer")
+		h.Close(note("close"))
+		l.SetImmediate(note("immediate"))
+		src.Post("net-read", "s", func() {
+			order = append(order, "event")
+			src.Close(nil)
+		})
+	})
+	run(t, l)
+	if want := []string{"tick", "timer", "event", "immediate", "close"}; !slices.Equal(order, want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+	if n := l.Stats().Iterations; n != 1 {
+		t.Fatalf("ran %d iterations, want 1", n)
+	}
+}
+
 func TestRecorderSeesKinds(t *testing.T) {
 	rec := sched.NewRecorder()
 	l := New(Options{Recorder: rec})
@@ -350,20 +378,10 @@ func TestRecorderSeesKinds(t *testing.T) {
 	}
 }
 
-func TestPendingPhaseRuns(t *testing.T) {
-	l := New(Options{})
-	ran := false
-	l.QueuePending("p", func() { ran = true })
-	run(t, l)
-	if !ran {
-		t.Fatal("pending callback did not run")
-	}
-}
-
 // TestNoOverlappingCallbacks exercises the depth guard: the loop panics if
 // two loop callbacks ever overlap, so surviving a busy run is the check.
 func TestNoOverlappingCallbacks(t *testing.T) {
-	l := New(Options{PoolSize: 4})
+	l := New(Options{})
 	for i := 0; i < 50; i++ {
 		l.SetTimeout(time.Duration(i%5)*time.Millisecond, func() {
 			l.NextTick(func() {})
@@ -373,75 +391,6 @@ func TestNoOverlappingCallbacks(t *testing.T) {
 		})
 	}
 	run(t, l)
-}
-
-func TestStatsCountActivity(t *testing.T) {
-	l := New(Options{})
-	l.SetTimeout(time.Millisecond, func() {})
-	l.QueueWork("w", func() (any, error) { return nil, nil }, nil)
-	run(t, l)
-	st := l.Stats()
-	if st.TimersRun != 1 {
-		t.Errorf("TimersRun = %d, want 1", st.TimersRun)
-	}
-	if st.TasksExecuted != 1 {
-		t.Errorf("TasksExecuted = %d, want 1", st.TasksExecuted)
-	}
-	if st.Callbacks < 2 {
-		t.Errorf("Callbacks = %d, want >= 2", st.Callbacks)
-	}
-	if st.Iterations < 1 {
-		t.Errorf("Iterations = %d, want >= 1", st.Iterations)
-	}
-}
-
-func TestTimerRefreshPushesDeadlineOut(t *testing.T) {
-	l := New(Options{})
-	var fireTimes []time.Duration
-	start := time.Now()
-	tm := l.SetTimeout(8*time.Millisecond, func() {
-		fireTimes = append(fireTimes, time.Since(start))
-	})
-	// Refresh at 4ms: the timer must not fire before ~12ms.
-	l.SetTimeout(4*time.Millisecond, func() { tm.Refresh() })
-	run(t, l)
-	if len(fireTimes) != 1 {
-		t.Fatalf("fired %d times", len(fireTimes))
-	}
-	if fireTimes[0] < 12*time.Millisecond {
-		t.Fatalf("refreshed timer fired at %v, want >= 12ms", fireTimes[0])
-	}
-}
-
-func TestTimerRefreshRearmsFiredTimer(t *testing.T) {
-	l := New(Options{})
-	fired := 0
-	var tm *Timer
-	tm = l.SetTimeout(2*time.Millisecond, func() { fired++ })
-	l.SetTimeout(6*time.Millisecond, func() {
-		if fired != 1 {
-			t.Errorf("fired = %d before refresh", fired)
-		}
-		tm.Refresh() // one-shot already fired: bring it back
-	})
-	run(t, l)
-	if fired != 2 {
-		t.Fatalf("fired = %d, want 2 (refresh re-arms)", fired)
-	}
-}
-
-func TestTimerRefreshAfterStop(t *testing.T) {
-	l := New(Options{})
-	fired := 0
-	tm := l.SetTimeout(3*time.Millisecond, func() { fired++ })
-	l.SetTimeout(time.Millisecond, func() {
-		tm.Stop()
-		tm.Refresh()
-	})
-	run(t, l)
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1 (refresh revives a stopped timer)", fired)
-	}
 }
 
 func TestTopLevelNextTickDrains(t *testing.T) {

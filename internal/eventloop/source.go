@@ -19,9 +19,8 @@ type Source struct {
 	loop *Loop
 	name string
 
-	mu       sync.Mutex
-	closed   bool
-	inflight int // events posted but not yet executed or discarded
+	mu     sync.Mutex
+	closed bool
 }
 
 // NewSource registers a new event source with the loop. Safe from any
@@ -64,7 +63,6 @@ func (s *Source) PostRef(kind, label string, ref oracle.Ref, cb func()) {
 		s.mu.Unlock()
 		return
 	}
-	s.inflight++
 	s.mu.Unlock()
 	s.loop.postEvent(kind, label, cb, s, ref)
 }
@@ -75,14 +73,6 @@ func (s *Source) isClosed() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.closed
-}
-
-// release is called by the loop when one of the source's events has been
-// executed or discarded.
-func (s *Source) release() {
-	s.mu.Lock()
-	s.inflight--
-	s.mu.Unlock()
 }
 
 // Close tears the source down: its undelivered events are discarded and cb

@@ -10,6 +10,35 @@ import (
 	"nodefz/internal/vclock"
 )
 
+// TestStatsCountActivity: Stats counts the run's timers, callbacks and
+// iterations, and reads TasksExecuted from the worker pool under both pool
+// shapes: four concurrent workers (nodeV) and one serialized worker
+// (nodeNFZ).
+func TestStatsCountActivity(t *testing.T) {
+	const tasks = 3
+	for _, s := range []eventloop.Scheduler{eventloop.VanillaScheduler{}, core.NewNoFuzzScheduler()} {
+		l := eventloop.New(eventloop.Options{Scheduler: s})
+		l.SetTimeout(time.Millisecond, func() {})
+		for i := 0; i < tasks; i++ {
+			l.QueueWork("w", func() (any, error) { return nil, nil }, nil)
+		}
+		runFuzzed(t, l)
+		st := l.Stats()
+		if st.TimersRun != 1 {
+			t.Errorf("%s: TimersRun = %d, want 1", s.Name(), st.TimersRun)
+		}
+		if st.TasksExecuted != tasks {
+			t.Errorf("%s: TasksExecuted = %d, want %d", s.Name(), st.TasksExecuted, tasks)
+		}
+		if st.Callbacks < 2 {
+			t.Errorf("%s: Callbacks = %d, want >= 2", s.Name(), st.Callbacks)
+		}
+		if st.Iterations < 1 {
+			t.Errorf("%s: Iterations = %d, want >= 1", s.Name(), st.Iterations)
+		}
+	}
+}
+
 // TestFuzzStatsCountDeferrals pins the loop's bookkeeping of scheduler
 // decisions: with maximal deferral probabilities, the deferred counters
 // must move while everything still completes.

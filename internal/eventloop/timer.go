@@ -15,7 +15,6 @@ type Timer struct {
 	loop     *Loop
 	cb       func()
 	deadline time.Time
-	dur      time.Duration // the registration duration, for Refresh
 	period   time.Duration // 0 for one-shot
 	seq      uint64        // registration order, for {timeout, registration} tie-break
 	index    int           // heap index, -1 when not queued
@@ -53,27 +52,6 @@ func (t *Timer) Unref() {
 // Stopped reports whether the timer has been stopped (or, for a one-shot
 // timer, has fired).
 func (t *Timer) Stopped() bool { return t.stopped }
-
-// Refresh re-arms the timer to fire its original duration from now, like
-// Node's timer.refresh(): a pending timer's deadline moves out, a fired or
-// stopped one-shot timer is re-scheduled. The keepalive idiom — push the
-// idle deadline on every use — is Refresh in a loop. Must be called from
-// the loop goroutine.
-func (t *Timer) Refresh() {
-	if t.index >= 0 {
-		heap.Remove(&t.loop.timers, t.index)
-	}
-	t.deadline = t.loop.clk.Now().Add(t.dur)
-	t.loop.timerSeq++
-	t.seq = t.loop.timerSeq
-	t.oref = t.loop.oracleRef() // a refresh is a re-registration
-	heap.Push(&t.loop.timers, t)
-	if t.stopped {
-		t.stopped = false
-		t.refed = true
-		t.loop.ref()
-	}
-}
 
 // timerHeap orders timers by (deadline, seq): the undocumented-but-relied-on
 // {timeout, registration time} callback ordering that libuv implements and

@@ -64,7 +64,7 @@ func TestVirtualClockInterval(t *testing.T) {
 // block on it simultaneously).
 func TestVirtualClockQueueWork(t *testing.T) {
 	clk := vclock.NewVirtual()
-	l := New(Options{Clock: clk, PoolSize: 2})
+	l := New(Options{Clock: clk})
 	var done int
 	for i := 0; i < 10; i++ {
 		l.QueueWork("w", func() (any, error) { return nil, nil }, func(any, error) {

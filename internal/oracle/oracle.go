@@ -14,7 +14,7 @@
 // through each asynchronous registration, so the tracker derives the
 // happens-before relation from the substrate's own causality:
 //
-//   - callback X registered timer/tick/immediate/pending/close Y:  X → Y
+//   - callback X registered timer/tick/immediate/close Y:          X → Y
 //   - callback X submitted pool work whose done-callback is Y:     X → Y
 //   - per-source (per-connection) FIFO delivery:                   Yi → Yi+1
 //   - simnet send by X delivered to peer's handler Y:              X → Y

@@ -143,7 +143,7 @@ func TestAsyncServiceTimeJitterDeterministicPerSeed(t *testing.T) {
 // TestAsyncManyConcurrentOps drives a burst of mixed operations and checks
 // every callback fires exactly once.
 func TestAsyncManyConcurrentOps(t *testing.T) {
-	l := eventloop.New(eventloop.Options{PoolSize: 4})
+	l := eventloop.New(eventloop.Options{})
 	fs := New()
 	a := Bind(l, fs, 200*time.Microsecond, 5)
 	if err := fs.Mkdir("/d"); err != nil {
