@@ -12,6 +12,7 @@ package nodefz
 import (
 	"fmt"
 	"io"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -550,6 +551,40 @@ func BenchmarkCorpusAdmit(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkJournalAppend measures one checkpoint journal append: an admitted
+// SIO trial record, shaped like a coverage campaign's, encoded and written
+// to the file in one write. A checkpointed campaign pays it once per trial.
+func BenchmarkJournalAppend(b *testing.B) {
+	j, err := campaign.OpenJournal(filepath.Join(b.TempDir(), "journal.jsonl"), true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer j.Close()
+	kinds := []string{"timer", "net-accept", "net-connect", "net-read", "timer", "close"}
+	schedule := make([]string, 40)
+	for i := range schedule {
+		schedule[i] = kinds[i%len(kinds)]
+	}
+	entry := campaign.TrialEntry{
+		Type: "trial", Trial: 1, Seed: campaign.TrialSeed(3, 1), Arm: 1, ArmName: "guided-timer",
+		Novelty: 0.4444, Admitted: true, Digest: "1e5024a2997011f4", Reward: 0.5197,
+		Schedule: schedule, Violations: 2, NewCoverage: 0.4318,
+	}
+	// The first append sizes the encoder's pooled scratch; measure the
+	// steady state after it.
+	if err := j.Append(entry); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		entry.Trial = i
+		if err := j.Append(entry); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkFleetSlice measures one meta-scheduler step — an allocation

@@ -24,6 +24,7 @@ import (
 
 	"nodefz/internal/bugs"
 	"nodefz/internal/harness"
+	"nodefz/internal/jsonl"
 	"nodefz/internal/metrics"
 )
 
@@ -65,23 +66,21 @@ func main() {
 	run("table3", func() { harness.WriteTable3(w) })
 	run("fig6", func() {
 		var obs harness.TrialObserver
-		var metW *metrics.JSONLWriter
+		var metW *jsonl.Writer[metrics.TrialRecord]
 		if *metOut != "" {
-			f, err := os.Create(*metOut)
-			if err != nil {
+			var err error
+			if metW, err = jsonl.Create[metrics.TrialRecord](*metOut, false); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
-			defer f.Close()
-			metW = metrics.NewJSONLWriter(f)
 			obs = harness.JSONLObserver(metW)
 		}
 		harness.WriteFig6(w, harness.Fig6Observed(*trials, *seed, obs))
+		if err := metW.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
 		if metW != nil {
-			if err := metW.Err(); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
 			fmt.Fprintf(w, "[%d metrics snapshots written to %s]\n", metW.Count(), *metOut)
 		}
 	})

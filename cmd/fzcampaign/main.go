@@ -20,6 +20,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -28,6 +29,7 @@ import (
 
 	"nodefz/internal/bugs"
 	"nodefz/internal/campaign"
+	"nodefz/internal/jsonl"
 	"nodefz/internal/metrics"
 	"nodefz/internal/oracle"
 	"nodefz/internal/profiling"
@@ -83,29 +85,22 @@ func main() {
 		os.Exit(2)
 	}
 
-	var metW *metrics.JSONLWriter
+	var metW *jsonl.Writer[metrics.TrialRecord]
 	if *metOut != "" {
-		f, err := os.Create(*metOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer f.Close()
 		// Buffered: at arena trial rates one syscall per record is real
 		// cost. The campaign flushes at every checkpoint and at Finish.
-		metW = metrics.NewBufferedJSONLWriter(f)
-	}
-
-	var repW *oracle.ReportWriter
-	if *orcOut != "" {
-		*orc = true
-		f, err := os.Create(*orcOut)
-		if err != nil {
+		if metW, err = jsonl.Create[metrics.TrialRecord](*metOut, true); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		defer f.Close()
-		repW = oracle.NewReportWriter(f)
+	}
+	var repW *jsonl.Writer[oracle.TrialViolation]
+	if *orcOut != "" {
+		*orc = true
+		if repW, err = jsonl.Create[oracle.TrialViolation](*orcOut, false); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
 	}
 
 	cfg := campaign.Config{
@@ -191,18 +186,14 @@ func main() {
 	}
 
 	fmt.Printf("watermark %d/%d\n", res.Watermark, res.Trials)
+	if err := errors.Join(repW.Close(), metW.Close()); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	if repW != nil {
-		if err := repW.Err(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
 		fmt.Printf("%d oracle violation line(s) written to %s\n", repW.Count(), *orcOut)
 	}
 	if metW != nil {
-		if err := metW.Err(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
 		fmt.Printf("%d metrics snapshot(s) written to %s\n", metW.Count(), *metOut)
 	}
 	if res.Done < res.Trials {

@@ -23,6 +23,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -31,6 +32,7 @@ import (
 
 	"nodefz/internal/bugs"
 	"nodefz/internal/fleet"
+	"nodefz/internal/jsonl"
 	"nodefz/internal/metrics"
 	"nodefz/internal/oracle"
 	"nodefz/internal/profiling"
@@ -102,28 +104,22 @@ func main() {
 		}
 	}
 
-	var metW *metrics.JSONLWriter
+	var metW *jsonl.Writer[metrics.TrialRecord]
 	if *metOut != "" {
-		f, err := os.Create(*metOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer f.Close()
 		// Buffered: every child campaign flushes at its checkpoints and
 		// at Finish, so a kill loses at most what the journals also lost.
-		metW = metrics.NewBufferedJSONLWriter(f)
-	}
-	var repW *oracle.ReportWriter
-	if *orcOut != "" {
-		*orc = true
-		f, err := os.Create(*orcOut)
-		if err != nil {
+		if metW, err = jsonl.Create[metrics.TrialRecord](*metOut, true); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		defer f.Close()
-		repW = oracle.NewReportWriter(f)
+	}
+	var repW *jsonl.Writer[oracle.TrialViolation]
+	if *orcOut != "" {
+		*orc = true
+		if repW, err = jsonl.Create[oracle.TrialViolation](*orcOut, false); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
 	}
 	var dashW *os.File
 	if *dash == "-" {
@@ -137,15 +133,12 @@ func main() {
 		defer f.Close()
 		dashW = f
 	}
-	var dashJW *metrics.FleetStatusWriter
+	var dashJW *jsonl.Writer[metrics.FleetStatusRecord]
 	if *dashJSONL != "" {
-		f, err := os.Create(*dashJSONL)
-		if err != nil {
+		if dashJW, err = jsonl.Create[metrics.FleetStatusRecord](*dashJSONL, false); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		defer f.Close()
-		dashJW = metrics.NewFleetStatusWriter(f)
 	}
 
 	cfg := fleet.Config{
@@ -206,6 +199,10 @@ func main() {
 			c.Result.CorpusLen, c.Yield, c.Slices)
 	}
 	fmt.Printf("\nassigned %d/%d\n", res.Assigned, res.Budget)
+	if err := errors.Join(repW.Close(), metW.Close(), dashJW.Close()); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	if repW != nil {
 		fmt.Printf("%d oracle violation line(s) written to %s\n", repW.Count(), *orcOut)
 	}

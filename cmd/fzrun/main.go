@@ -17,6 +17,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -24,6 +25,7 @@ import (
 	"nodefz/internal/bugs"
 	"nodefz/internal/core"
 	"nodefz/internal/harness"
+	"nodefz/internal/jsonl"
 	"nodefz/internal/metrics"
 	"nodefz/internal/oracle"
 	"nodefz/internal/sched"
@@ -91,29 +93,22 @@ func main() {
 		}
 	}
 
-	var repW *oracle.ReportWriter
+	var repW *jsonl.Writer[oracle.TrialViolation]
 	if *orcOut != "" {
 		*orc = true
-		f, err := os.Create(*orcOut)
-		if err != nil {
+		if repW, err = jsonl.Create[oracle.TrialViolation](*orcOut, false); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		defer f.Close()
-		repW = oracle.NewReportWriter(f)
 	} else if *orc {
-		repW = oracle.NewReportWriter(os.Stdout)
+		repW = jsonl.New[oracle.TrialViolation](os.Stdout)
 	}
-
-	var metW *metrics.JSONLWriter
+	var metW *jsonl.Writer[metrics.TrialRecord]
 	if *metOut != "" {
-		f, err := os.Create(*metOut)
-		if err != nil {
+		if metW, err = jsonl.Create[metrics.TrialRecord](*metOut, false); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		defer f.Close()
-		metW = metrics.NewJSONLWriter(f)
 	}
 
 	manifested := 0
@@ -148,7 +143,7 @@ func main() {
 		}
 		out := run(cfg)
 		if metW != nil {
-			metW.Write(harness.CollectTrial(app.Abbr, m, s, i, out, reg, scheduler, rec.Types()))
+			_ = metW.Append(harness.CollectTrial(app.Abbr, m, s, i, out, reg, scheduler, rec.Types()))
 		}
 		status := "ok"
 		if out.Manifested {
@@ -166,7 +161,7 @@ func main() {
 			fmt.Printf(" [oracle: %d violation(s)]", len(reps))
 		}
 		fmt.Println()
-		repW.WriteTrial(app.Abbr, m.String(), i, s, reps)
+		_ = repW.Append(oracle.Violations(app.Abbr, m.String(), i, s, reps)...)
 		if rec != nil && *trace {
 			entries := rec.Entries()
 			if len(entries) > 0 {
@@ -202,21 +197,15 @@ func main() {
 			fmt.Printf("decision trace written to %s\n", *record)
 		}
 	}
+	if err := errors.Join(metW.Close(), repW.Close()); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	if metW != nil {
-		if err := metW.Err(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
 		fmt.Printf("%d metrics snapshot(s) written to %s\n", metW.Count(), *metOut)
 	}
-	if *orc {
-		if err := repW.Err(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if *orcOut != "" {
-			fmt.Printf("%d oracle violation line(s) written to %s\n", repW.Count(), *orcOut)
-		}
+	if *orcOut != "" {
+		fmt.Printf("%d oracle violation line(s) written to %s\n", repW.Count(), *orcOut)
 	}
 	fmt.Printf("\n%s %s under %s: manifested %d/%d", app.Abbr, variant(*fixed), m, manifested, *trials)
 	if *orc {

@@ -67,8 +67,9 @@ type Arena struct {
 	noiseUsed bool
 
 	// FS-noise cache: RunConfig.AddFSNoise's private filesystem and its
-	// jittered async binding, reset and reseeded per trial (a fresh Bind
-	// allocates a multi-KB rand state).
+	// jittered async binding, reset and reseeded per trial instead of
+	// rebuilt (a fresh pair allocates a filesystem root, its maps and the
+	// binding).
 	noiseFS  *simfs.FS
 	noiseFSA *simfs.Async
 }

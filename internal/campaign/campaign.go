@@ -9,6 +9,7 @@ import (
 
 	"nodefz/internal/bugs"
 	"nodefz/internal/core"
+	"nodefz/internal/jsonl"
 	"nodefz/internal/metrics"
 	"nodefz/internal/oracle"
 	"nodefz/internal/sched"
@@ -79,8 +80,9 @@ type Config struct {
 
 	// Metrics, when non-nil, receives one metrics.TrialRecord per executed
 	// trial (the same JSONL stream fzrun/fzbench emit), with Mode set to
-	// "campaign/<arm>".
-	Metrics *metrics.JSONLWriter
+	// "campaign/<arm>". The campaign flushes it at every checkpoint and
+	// leaves closing it to the owner.
+	Metrics *jsonl.Writer[metrics.TrialRecord]
 
 	// Oracle attaches a fresh happens-before tracker to every trial. Each
 	// trial's violation count is journaled, and a trial that produces at
@@ -102,7 +104,7 @@ type Config struct {
 	Coverage bool
 	// OracleOut, when non-nil (and Oracle is set), receives every violation
 	// as one TrialViolation JSONL line, annotated with trial and seed.
-	OracleOut *oracle.ReportWriter
+	OracleOut *jsonl.Writer[oracle.TrialViolation]
 
 	// Progress, when non-nil, receives one line per executed trial; the CLI
 	// uses it for streaming output. Called concurrently.
@@ -552,7 +554,7 @@ func (c *Campaign) runTrial(i int, w *world) trialStatus {
 	}
 	c.bandit.Update(arm, reward)
 	if cfg.OracleOut != nil {
-		cfg.OracleOut.WriteTrial(cfg.App.Abbr, "campaign/"+c.arms[arm].Name, i, seed, violations)
+		_ = cfg.OracleOut.Append(oracle.Violations(cfg.App.Abbr, "campaign/"+c.arms[arm].Name, i, seed, violations)...)
 	}
 
 	entry := TrialEntry{
@@ -623,7 +625,7 @@ func (c *Campaign) runTrial(i int, w *world) trialStatus {
 	if cfg.Metrics != nil {
 		d, _ := core.DecisionsOf(recording)
 		d.FoldInto(reg)
-		_ = cfg.Metrics.Write(metrics.TrialRecord{
+		_ = cfg.Metrics.Append(metrics.TrialRecord{
 			Bug:         cfg.App.Abbr,
 			Mode:        "campaign/" + c.arms[arm].Name,
 			Seed:        seed,
@@ -669,9 +671,7 @@ func (c *Campaign) writeCheckpoint() {
 	// The checkpoint is the campaign's durability boundary: push any
 	// buffered metrics lines out with it, so a killed campaign's metrics
 	// stream is current up to the last checkpoint the journal shows.
-	if c.cfg.Metrics != nil {
-		_ = c.cfg.Metrics.Flush()
-	}
+	_ = c.cfg.Metrics.Flush()
 	if c.journal == nil {
 		return
 	}
@@ -720,15 +720,8 @@ func (c *Campaign) Snapshot() Result {
 func (c *Campaign) Finish() (*Result, error) {
 	res := c.Snapshot()
 	c.writeCheckpoint()
-	if c.journal != nil {
-		err := c.journal.Err()
-		cerr := c.journal.Close()
-		if err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return &res, err
-		}
+	if err := c.journal.Close(); err != nil {
+		return &res, err
 	}
 	return &res, nil
 }

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"encoding/json"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"nodefz/internal/bugs"
+	"nodefz/internal/jsonl"
 	"nodefz/internal/metrics"
 )
 
@@ -209,16 +211,20 @@ func TestCampaignMinimizesAManifestingTrial(t *testing.T) {
 
 func TestCampaignMetricsStream(t *testing.T) {
 	var buf bytes.Buffer
-	w := metrics.NewJSONLWriter(&buf)
+	w := jsonl.New[metrics.TrialRecord](&buf)
 	app := newFakeApp(nil, nil)
 	res, err := Run(Config{App: app, Trials: 5, Workers: 2, BaseSeed: 9,
 		MinimizeTrials: -1, Metrics: w})
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := metrics.ReadJSONL(&buf)
-	if err != nil {
-		t.Fatal(err)
+	var recs []metrics.TrialRecord
+	for dec := json.NewDecoder(&buf); dec.More(); {
+		var r metrics.TrialRecord
+		if err := dec.Decode(&r); err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, r)
 	}
 	if len(recs) != res.Done {
 		t.Fatalf("%d metrics records for %d trials", len(recs), res.Done)
@@ -411,7 +417,7 @@ func TestCampaignParallelThroughput(t *testing.T) {
 // journal order is fixed.
 func TestMetricsLeaveCampaignUnchanged(t *testing.T) {
 	elapsed := regexp.MustCompile(`"elapsed_ms":\d+`)
-	journal := func(cfg Config, w *metrics.JSONLWriter) []string {
+	journal := func(cfg Config, w *jsonl.Writer[metrics.TrialRecord]) []string {
 		t.Helper()
 		cfg.Metrics = w
 		cfg.CheckpointPath = filepath.Join(t.TempDir(), "ckpt.jsonl")
@@ -437,7 +443,7 @@ func TestMetricsLeaveCampaignUnchanged(t *testing.T) {
 				Coverage: c.coverage, Oracle: c.oracle}
 			off := journal(cfg, nil)
 			var exported bytes.Buffer
-			on := journal(cfg, metrics.NewJSONLWriter(&exported))
+			on := journal(cfg, jsonl.New[metrics.TrialRecord](&exported))
 			if exported.Len() == 0 {
 				t.Fatal("metrics writer received nothing — comparison is vacuous")
 			}

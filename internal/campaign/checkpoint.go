@@ -1,12 +1,9 @@
 package campaign
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
-	"fmt"
-	"os"
-	"sync"
+
+	"nodefz/internal/jsonl"
 )
 
 // The checkpoint journal is append-only JSONL: one self-describing record
@@ -25,8 +22,9 @@ import (
 //   - "checkpoint": a periodic summary (watermark, corpus size, arm stats),
 //     redundant with the trial records but cheap to read for monitoring.
 //
-// Each record is flushed to the OS as it is appended, so a SIGKILL loses at
-// most the line being written; the loader tolerates a torn final line.
+// Each record is encoded straight to the file in one write as it is
+// appended, so a SIGKILL loses at most the line being written; the loader
+// tolerates a torn final line.
 
 // TrialEntry journals one completed trial.
 type TrialEntry struct {
@@ -92,127 +90,18 @@ type CheckpointEntry struct {
 	CovTuples  int `json:"cov_tuples,omitempty"`
 }
 
-// Journal appends records to a checkpoint file, one JSON line at a time,
-// flushing after every record. It is safe for concurrent use by trial
-// workers.
-type Journal struct {
-	mu  sync.Mutex
-	f   *os.File
-	w   *bufio.Writer
-	enc *json.Encoder // encodes straight into w; reuses its scratch across records
-	err error
-}
+// Journal appends records to a checkpoint file, write-through. It is safe
+// for concurrent use by trial workers.
+type Journal = jsonl.Writer[any]
 
-// OpenJournal opens path for appending (creating it if absent). With
-// truncate, any existing content is discarded first — the fresh-campaign
-// path; resume opens without truncation. On resume, a torn final line (the
-// writer was killed mid-append) is truncated away first, so appended
-// records never concatenate onto a partial one — the torn record was
-// already lost the moment the kill landed.
+// OpenJournal opens path for appending. With truncate it creates or
+// truncates the file: the fresh-campaign path. Without it (resume), it
+// creates the file if absent and first truncates away a torn final line.
 func OpenJournal(path string, truncate bool) (*Journal, error) {
-	if !truncate {
-		if err := truncateTornTail(path); err != nil {
-			return nil, err
-		}
-	}
-	flags := os.O_CREATE | os.O_WRONLY | os.O_APPEND
 	if truncate {
-		flags = os.O_CREATE | os.O_WRONLY | os.O_TRUNC
+		return jsonl.Create[any](path, false)
 	}
-	f, err := os.OpenFile(path, flags, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	w := bufio.NewWriter(f)
-	return &Journal{f: f, w: w, enc: json.NewEncoder(w)}, nil
-}
-
-// truncateTornTail truncates path to the end of its last newline-terminated
-// line. A missing file is fine; a file with no newline at all becomes
-// empty.
-func truncateTornTail(path string) error {
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return err
-	}
-	size := st.Size()
-	buf := make([]byte, 64<<10)
-	end := size
-	for end > 0 {
-		n := int64(len(buf))
-		if n > end {
-			n = end
-		}
-		start := end - n
-		if _, err := f.ReadAt(buf[:n], start); err != nil {
-			return err
-		}
-		for i := n - 1; i >= 0; i-- {
-			if buf[i] == '\n' {
-				cut := start + i + 1
-				if cut < size {
-					return f.Truncate(cut)
-				}
-				return nil
-			}
-		}
-		end = start
-	}
-	if size > 0 {
-		return f.Truncate(0)
-	}
-	return nil
-}
-
-// Append writes one record and flushes it. Errors are sticky.
-func (j *Journal) Append(rec any) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.err != nil {
-		return j.err
-	}
-	// Encode marshals into the encoder's pooled scratch and writes the
-	// record plus trailing newline into the buffered writer — no per-record
-	// output buffer. A marshal error writes nothing.
-	if err := j.enc.Encode(rec); err != nil {
-		j.err = err
-		return err
-	}
-	if err := j.w.Flush(); err != nil {
-		j.err = err
-		return err
-	}
-	return nil
-}
-
-// Err returns the first append error, if any.
-func (j *Journal) Err() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.err
-}
-
-// Close flushes and closes the file.
-func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	ferr := j.w.Flush()
-	cerr := j.f.Close()
-	if j.err != nil {
-		return j.err
-	}
-	if ferr != nil {
-		return ferr
-	}
-	return cerr
+	return jsonl.Reopen[any](path)
 }
 
 // JournalState is everything a resumed campaign rebuilds from the journal.
@@ -249,7 +138,7 @@ func (s *JournalState) Watermark() int {
 // file is an error, because records after it may silently be lost.
 func LoadJournal(path string) (*JournalState, error) {
 	st := &JournalState{Trials: make(map[int]TrialEntry)}
-	torn, err := ScanJournal(path, "campaign", func(typ string, line []byte) (bool, error) {
+	torn, err := jsonl.Scan(path, "campaign", func(typ string, line []byte) (bool, error) {
 		switch typ {
 		case "trial":
 			var e TrialEntry
@@ -281,56 +170,4 @@ func LoadJournal(path string) (*JournalState, error) {
 	}
 	st.TornTail = torn
 	return st, nil
-}
-
-// ScanJournal reads the JSONL journal at path — a campaign's or a fleet's —
-// one record at a time, tolerating a torn tail: record gets each non-blank
-// line with its "type" field and reports whether it knows the type and
-// whether the line failed to decode. A missing file is an empty journal. A
-// line that fails to parse is taken for the torn final line a killed writer
-// leaves behind (torn is then true); a malformed line with records after
-// it, or a record of unknown type, is an error, prefixed with owner.
-func ScanJournal(path, owner string, record func(typ string, line []byte) (known bool, err error)) (torn bool, err error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return false, nil
-	}
-	if err != nil {
-		return false, err
-	}
-	defer f.Close()
-
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 16<<20)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		if torn {
-			return false, fmt.Errorf("%s: journal %s line %d: records after a malformed line", owner, path, lineNo)
-		}
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var kind struct {
-			Type string `json:"type"`
-		}
-		if err := json.Unmarshal(line, &kind); err != nil {
-			// Possibly the torn final line; fail only if more records
-			// follow.
-			torn = true
-			continue
-		}
-		known, err := record(kind.Type, line)
-		if !known {
-			return false, fmt.Errorf("%s: journal %s line %d: unknown record type %q", owner, path, lineNo, kind.Type)
-		}
-		if err != nil {
-			torn = true
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return false, err
-	}
-	return torn, nil
 }

@@ -43,9 +43,7 @@ func (f *Fleet) emitDashboard() {
 		return
 	}
 	rec := f.Status()
-	if f.cfg.DashboardJSONL != nil {
-		_ = f.cfg.DashboardJSONL.Write(rec)
-	}
+	_ = f.cfg.DashboardJSONL.Append(rec)
 	if f.cfg.Dashboard != nil {
 		fmt.Fprint(f.cfg.Dashboard, RenderStatus(rec))
 	}

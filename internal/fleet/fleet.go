@@ -32,6 +32,7 @@ import (
 
 	"nodefz/internal/bugs"
 	"nodefz/internal/campaign"
+	"nodefz/internal/jsonl"
 	"nodefz/internal/metrics"
 	"nodefz/internal/oracle"
 )
@@ -128,17 +129,17 @@ type Config struct {
 	// Metrics, when non-nil, receives every child campaign's per-trial
 	// TrialRecord on one shared stream (rows are distinguished by their
 	// Bug field) — the same JSONL export fzrun/fzcampaign emit.
-	Metrics *metrics.JSONLWriter
+	Metrics *jsonl.Writer[metrics.TrialRecord]
 	// OracleOut, when non-nil (with Oracle set), receives every child
 	// campaign's violations on one shared report stream.
-	OracleOut *oracle.ReportWriter
+	OracleOut *jsonl.Writer[oracle.TrialViolation]
 
 	// Dashboard, when non-nil, receives a rendered text status table every
 	// DashboardEvery slices and once at Finish.
 	Dashboard io.Writer
 	// DashboardJSONL, when non-nil, receives the same snapshots as
 	// machine-readable metrics.FleetStatusRecord lines.
-	DashboardJSONL *metrics.FleetStatusWriter
+	DashboardJSONL *jsonl.Writer[metrics.FleetStatusRecord]
 	// DashboardEvery is the emission period in slices (<= 0 means
 	// DefaultDashboardEvery).
 	DashboardEvery int
@@ -494,19 +495,11 @@ func (r *Result) Manifested() int {
 // The fleet must not be used afterwards.
 func (f *Fleet) Finish() (*Result, error) {
 	res := &Result{Slices: f.slices, Assigned: f.assigned, Budget: f.cfg.GlobalTrials}
-	var firstErr error
 	if f.journal != nil {
 		_ = f.journal.Append(f.checkpoint())
 	}
 	f.emitDashboard()
-	if f.journal != nil {
-		if err := f.journal.Err(); err != nil {
-			firstErr = err
-		}
-		if err := f.journal.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
+	firstErr := f.journal.Close()
 	for _, u := range f.units {
 		cres, err := u.camp.Finish()
 		if err != nil && firstErr == nil {

@@ -3,13 +3,13 @@ package fleet
 import (
 	"encoding/json"
 
-	"nodefz/internal/campaign"
+	"nodefz/internal/jsonl"
 )
 
 // The fleet journal is append-only JSONL, one self-describing record per
-// line, written through the same kill-safe campaign.Journal machinery the
-// per-campaign journals use (flushed per record, torn final line tolerated
-// and truncated on reopen). Two record types exist:
+// line, opened with campaign.OpenJournal like the per-campaign journals: one
+// write per record, a torn final line tolerated by jsonl.Scan on load and
+// truncated on reopen. Two record types exist:
 //
 //   - "slice": one allocation decision and its outcome — which campaign got
 //     the slice, the trial range, and the range's yield counters. Resume
@@ -99,7 +99,7 @@ type journalState struct {
 // is tolerated; a malformed line earlier in the file is an error.
 func loadJournal(path string) (*journalState, error) {
 	st := &journalState{}
-	torn, err := campaign.ScanJournal(path, "fleet", func(typ string, line []byte) (bool, error) {
+	torn, err := jsonl.Scan(path, "fleet", func(typ string, line []byte) (bool, error) {
 		switch typ {
 		case "slice":
 			var rec SliceRecord

@@ -15,6 +15,7 @@ import (
 	"nodefz/internal/bugs"
 	"nodefz/internal/campaign"
 	"nodefz/internal/core"
+	"nodefz/internal/jsonl"
 	"nodefz/internal/oracle"
 	"nodefz/internal/sched"
 	"nodefz/internal/vclock"
@@ -79,7 +80,7 @@ func driftTrial(app *bugs.App, mode Mode, seed int64) string {
 		fmt.Fprintf(&types, "%s\t%s\t%d\n", e.Kind, e.Label, e.At.UnixNano())
 	}
 	var reports strings.Builder
-	if err := tr.WriteJSONL(&reports); err != nil {
+	if err := jsonl.New[oracle.Report](&reports).Append(tr.Reports()...); err != nil {
 		panic(err)
 	}
 	return fmt.Sprintf("manifested=%t note=%s callbacks=%d trace=%s types=%s reports=%s coverage=%s",

@@ -4,18 +4,20 @@ import (
 	"nodefz/internal/bugs"
 	"nodefz/internal/core"
 	"nodefz/internal/eventloop"
+	"nodefz/internal/jsonl"
 	"nodefz/internal/metrics"
 )
 
 // TrialObserver receives one metrics record per completed trial. The
 // harness runs trials in parallel, so observers must be safe for concurrent
-// calls (metrics.JSONLWriter is).
+// calls (a jsonl.Writer is).
 type TrialObserver func(metrics.TrialRecord)
 
-// JSONLObserver adapts a metrics.JSONLWriter into a TrialObserver. Write
-// errors are sticky inside the writer; check w.Err() after the experiment.
-func JSONLObserver(w *metrics.JSONLWriter) TrialObserver {
-	return func(rec metrics.TrialRecord) { _ = w.Write(rec) }
+// JSONLObserver adapts a metrics JSON Lines writer into a TrialObserver.
+// Write errors are sticky inside the writer; its Close reports them after
+// the experiment.
+func JSONLObserver(w *jsonl.Writer[metrics.TrialRecord]) TrialObserver {
+	return func(rec metrics.TrialRecord) { _ = w.Append(rec) }
 }
 
 // CollectTrial folds the scheduler's decision counters into the trial's

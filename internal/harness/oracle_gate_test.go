@@ -7,6 +7,7 @@ import (
 	"nodefz/internal/bugs"
 	"nodefz/internal/conformance"
 	"nodefz/internal/eventloop"
+	"nodefz/internal/jsonl"
 	"nodefz/internal/oracle"
 	"nodefz/internal/vclock"
 )
@@ -26,7 +27,7 @@ func oracleTrial(run func(bugs.RunConfig) bugs.Outcome, mode Mode, seed int64) (
 
 func dumpReports(tr *oracle.Tracker) string {
 	var b strings.Builder
-	if err := tr.WriteJSONL(&b); err != nil {
+	if err := jsonl.New[oracle.Report](&b).Append(tr.Reports()...); err != nil {
 		return err.Error()
 	}
 	return b.String()

@@ -1,12 +1,5 @@
 package metrics
 
-import (
-	"bufio"
-	"encoding/json"
-	"io"
-	"sync"
-)
-
 // TrialRecord is one line of the JSONL metrics stream: the identity of a
 // trial, its outcome, the full metrics snapshot (loop phases, pool,
 // scheduler decisions, lag), and optionally the type schedule the trial
@@ -23,119 +16,4 @@ type TrialRecord struct {
 	// NewCoverage is the trial's new-interleaving-coverage fraction when
 	// the campaign runs with coverage feedback (0 / absent otherwise).
 	NewCoverage float64 `json:"new_coverage,omitempty"`
-}
-
-// lineWriter is the generic JSONL core shared by the export writers: one
-// JSON record per line, concurrency-safe, with sticky errors (a torn JSONL
-// stream is worse than a short one). With bw set the lines accumulate in a
-// bufio.Writer — one syscall per flush instead of one per line, which
-// matters when a campaign exports a record per trial at arena trial rates —
-// and the owner decides the durability points by calling flush (the
-// campaign flushes before every checkpoint record, so a kill loses at most
-// the metrics of trials the journal also lost).
-type lineWriter[T any] struct {
-	mu  sync.Mutex
-	bw  *bufio.Writer // nil: unbuffered, every line hits the sink directly
-	enc *json.Encoder
-	n   int
-	err error
-}
-
-func newLineWriter[T any](w io.Writer, buffered bool) lineWriter[T] {
-	if !buffered {
-		return lineWriter[T]{enc: json.NewEncoder(w)}
-	}
-	bw := bufio.NewWriterSize(w, 32<<10)
-	return lineWriter[T]{bw: bw, enc: json.NewEncoder(bw)}
-}
-
-func (j *lineWriter[T]) write(rec T) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.err != nil {
-		return j.err
-	}
-	if err := j.enc.Encode(rec); err != nil {
-		j.err = err
-		return err
-	}
-	j.n++
-	return nil
-}
-
-func (j *lineWriter[T]) flush() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.err != nil {
-		return j.err
-	}
-	if j.bw != nil {
-		if err := j.bw.Flush(); err != nil {
-			j.err = err
-			return err
-		}
-	}
-	return nil
-}
-
-func (j *lineWriter[T]) count() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.n
-}
-
-func (j *lineWriter[T]) firstErr() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.err
-}
-
-// JSONLWriter streams TrialRecords as JSON Lines, one record per line. It
-// is safe for concurrent use (the harness runs trials in parallel).
-type JSONLWriter struct {
-	lw lineWriter[TrialRecord]
-}
-
-// NewJSONLWriter wraps w. The writer does not close w. Every record is
-// written through to w immediately; see NewBufferedJSONLWriter for the
-// high-rate variant.
-func NewJSONLWriter(w io.Writer) *JSONLWriter {
-	return &JSONLWriter{lw: newLineWriter[TrialRecord](w, false)}
-}
-
-// NewBufferedJSONLWriter wraps w with an internal bufio.Writer so records
-// batch into large writes. The owner must call Flush at its durability
-// points (and before w is closed) or the tail of the stream is lost; write
-// errors may surface at Flush rather than Write.
-func NewBufferedJSONLWriter(w io.Writer) *JSONLWriter {
-	return &JSONLWriter{lw: newLineWriter[TrialRecord](w, true)}
-}
-
-// Write appends one record. After the first error every call returns it
-// without writing further.
-func (j *JSONLWriter) Write(rec TrialRecord) error { return j.lw.write(rec) }
-
-// Flush pushes buffered records to the underlying writer. A no-op for
-// unbuffered writers.
-func (j *JSONLWriter) Flush() error { return j.lw.flush() }
-
-// Count reports the number of records written so far.
-func (j *JSONLWriter) Count() int { return j.lw.count() }
-
-// Err returns the first write error, if any.
-func (j *JSONLWriter) Err() error { return j.lw.firstErr() }
-
-// ReadJSONL parses a JSONL stream back into records — the offline half of
-// the export path, used by tests and analysis tooling.
-func ReadJSONL(r io.Reader) ([]TrialRecord, error) {
-	dec := json.NewDecoder(r)
-	var out []TrialRecord
-	for dec.More() {
-		var rec TrialRecord
-		if err := dec.Decode(&rec); err != nil {
-			return out, err
-		}
-		out = append(out, rec)
-	}
-	return out, nil
 }

@@ -1,7 +1,5 @@
 package metrics
 
-import "io"
-
 // FleetCampaignStatus is one campaign's row in a fleet status record: the
 // per-campaign columns of the live fleet dashboard.
 type FleetCampaignStatus struct {
@@ -40,24 +38,3 @@ type FleetStatusRecord struct {
 	// Campaigns holds one row per campaign, in fleet spec order.
 	Campaigns []FleetCampaignStatus `json:"campaigns"`
 }
-
-// FleetStatusWriter streams FleetStatusRecords as JSON Lines — the
-// machine-readable half of the fleet dashboard. Safe for concurrent use.
-type FleetStatusWriter struct {
-	lw lineWriter[FleetStatusRecord]
-}
-
-// NewFleetStatusWriter wraps w. The writer does not close w.
-func NewFleetStatusWriter(w io.Writer) *FleetStatusWriter {
-	return &FleetStatusWriter{lw: newLineWriter[FleetStatusRecord](w, false)}
-}
-
-// Write appends one record. After the first error every call returns it
-// without writing further.
-func (j *FleetStatusWriter) Write(rec FleetStatusRecord) error { return j.lw.write(rec) }
-
-// Count reports the number of records written so far.
-func (j *FleetStatusWriter) Count() int { return j.lw.count() }
-
-// Err returns the first write error, if any.
-func (j *FleetStatusWriter) Err() error { return j.lw.firstErr() }

@@ -17,8 +17,9 @@
 //
 // Instruments are monotonic (Counter), last-value (Gauge), or distribution
 // (Histogram, fixed bucket bounds chosen at creation). Snapshot captures
-// the whole registry as a plain JSON-marshallable value; the JSONL exporter
-// in export.go streams one snapshot per trial.
+// the whole registry as a plain JSON-marshallable value. export.go and
+// fleet.go define the records that carry snapshots and fleet status out as
+// JSON Lines; internal/jsonl writes them.
 package metrics
 
 import (

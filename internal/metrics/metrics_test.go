@@ -3,11 +3,12 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
-	"io"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
+
+	"nodefz/internal/jsonl"
 )
 
 // TestConcurrentIncrements hammers one counter, one gauge, and one histogram
@@ -188,43 +189,22 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 		{Mode: "nodeV", Seed: 2, Trial: 1, Metrics: snap},
 	}
 	var buf bytes.Buffer
-	w := NewJSONLWriter(&buf)
-	for _, rec := range recs {
-		if err := w.Write(rec); err != nil {
+	w := jsonl.New[TrialRecord](&buf)
+	if err := w.Append(recs...); err != nil {
+		t.Fatal(err)
+	}
+	if w.Count() != len(recs) {
+		t.Fatalf("writer count = %d, want %d", w.Count(), len(recs))
+	}
+	var got []TrialRecord
+	for dec := json.NewDecoder(&buf); dec.More(); {
+		var rec TrialRecord
+		if err := dec.Decode(&rec); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if w.Count() != len(recs) || w.Err() != nil {
-		t.Fatalf("writer count/err = %d/%v", w.Count(), w.Err())
-	}
-	got, err := ReadJSONL(&buf)
-	if err != nil {
-		t.Fatal(err)
+		got = append(got, rec)
 	}
 	if !reflect.DeepEqual(got, recs) {
 		t.Errorf("JSONL round trip mismatch:\n got %+v\nwant %+v", got, recs)
 	}
 }
-
-// TestJSONLWriterStickyError: after a write error the writer refuses further
-// records rather than emitting a torn stream.
-func TestJSONLWriterStickyError(t *testing.T) {
-	w := NewJSONLWriter(failWriter{})
-	if err := w.Write(TrialRecord{Mode: "nodeV"}); err == nil {
-		t.Fatal("expected write error")
-	}
-	if err := w.Write(TrialRecord{Mode: "nodeV"}); err == nil {
-		t.Fatal("expected sticky error")
-	}
-	if w.Count() != 0 {
-		t.Errorf("count = %d after failed writes, want 0", w.Count())
-	}
-}
-
-type failWriter struct{}
-
-func (failWriter) Write(p []byte) (int, error) {
-	return 0, errShort
-}
-
-var errShort = io.ErrShortWrite

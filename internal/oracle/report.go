@@ -1,10 +1,5 @@
 package oracle
 
-import (
-	"encoding/json"
-	"io"
-)
-
 // UnitInfo identifies one callback execution in a report.
 type UnitInfo struct {
 	ID    uint64 `json:"id"`
@@ -93,21 +88,4 @@ func (t *Tracker) Reports() []Report {
 	out := make([]Report, len(t.reports))
 	copy(out, t.reports)
 	return out
-}
-
-// WriteJSONL writes one JSON object per report, in detection order. With
-// a fixed seed under a virtual clock the byte stream is identical across
-// runs.
-func (t *Tracker) WriteJSONL(w io.Writer) error {
-	for _, r := range t.Reports() {
-		b, err := json.Marshal(r)
-		if err != nil {
-			return err
-		}
-		b = append(b, '\n')
-		if _, err := w.Write(b); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -1,11 +1,5 @@
 package oracle
 
-import (
-	"encoding/json"
-	"io"
-	"sync"
-)
-
 // TrialViolation is the JSONL envelope for a report emitted by a harness
 // trial: the violation plus which trial produced it. The stream stays a
 // deterministic function of the seed under a virtual clock — no wall-clock
@@ -18,65 +12,15 @@ type TrialViolation struct {
 	Report
 }
 
-// ReportWriter serializes TrialViolation lines to one stream. It is safe
-// for concurrent use by campaign workers; the first write error is sticky
-// and later writes become no-ops.
-type ReportWriter struct {
-	mu  sync.Mutex
-	w   io.Writer
-	n   int
-	err error
-}
-
-// NewReportWriter wraps w.
-func NewReportWriter(w io.Writer) *ReportWriter {
-	return &ReportWriter{w: w}
-}
-
-// WriteTrial emits one line per report, annotated with the trial identity.
-// All of a trial's lines are written contiguously.
-func (rw *ReportWriter) WriteTrial(bug, mode string, trial int, seed int64, reports []Report) {
-	if rw == nil || len(reports) == 0 {
-		return
-	}
-	rw.mu.Lock()
-	defer rw.mu.Unlock()
-	if rw.err != nil {
-		return
-	}
-	for _, r := range reports {
-		b, err := json.Marshal(TrialViolation{
-			Bug: bug, Mode: mode, Trial: trial, Seed: seed, Report: r,
-		})
-		if err != nil {
-			rw.err = err
-			return
-		}
-		b = append(b, '\n')
-		if _, err := rw.w.Write(b); err != nil {
-			rw.err = err
-			return
-		}
-		rw.n++
-	}
-}
-
-// Count returns how many violation lines have been written.
-func (rw *ReportWriter) Count() int {
-	if rw == nil {
-		return 0
-	}
-	rw.mu.Lock()
-	defer rw.mu.Unlock()
-	return rw.n
-}
-
-// Err returns the first write error, if any.
-func (rw *ReportWriter) Err() error {
-	if rw == nil {
+// Violations wraps one trial's reports for a JSON Lines stream, one
+// TrialViolation per report, in detection order.
+func Violations(bug, mode string, trial int, seed int64, reports []Report) []TrialViolation {
+	if len(reports) == 0 {
 		return nil
 	}
-	rw.mu.Lock()
-	defer rw.mu.Unlock()
-	return rw.err
+	out := make([]TrialViolation, len(reports))
+	for i, r := range reports {
+		out[i] = TrialViolation{Bug: bug, Mode: mode, Trial: trial, Seed: seed, Report: r}
+	}
+	return out
 }
