@@ -614,13 +614,17 @@ func (c *Campaign) runTrial(i int, w *world) trialStatus {
 	}
 
 	if c.journal != nil {
-		_ = c.journal.Append(entry)
+		// One call keeps a trial's records on consecutive lines. A kill can
+		// still land between them; LoadJournal re-runs a trial whose
+		// coverage record is missing.
+		recs := append(make([]any, 0, 3), entry)
 		if covEntry != nil {
-			_ = c.journal.Append(*covEntry)
+			recs = append(recs, *covEntry)
 		}
 		if minEntry != nil {
-			_ = c.journal.Append(*minEntry)
+			recs = append(recs, *minEntry)
 		}
+		_ = c.journal.Append(recs...)
 	}
 	if cfg.Metrics != nil {
 		d, _ := core.DecisionsOf(recording)

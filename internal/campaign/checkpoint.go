@@ -169,5 +169,19 @@ func LoadJournal(path string) (*JournalState, error) {
 		return nil, err
 	}
 	st.TornTail = torn
+	// A trial journals its trial, coverage and minimized records in one
+	// append, but a kill can land between the lines. NewCoverage > 0 holds
+	// exactly when a coverage record follows the trial record, so a trial
+	// without its coverage record is not done: resume re-runs it, and the
+	// re-run journals all of its records again.
+	covered := make(map[int]bool, len(st.Coverage))
+	for _, e := range st.Coverage {
+		covered[e.Trial] = true
+	}
+	for i, e := range st.Trials {
+		if e.NewCoverage > 0 && !covered[i] {
+			delete(st.Trials, i)
+		}
+	}
 	return st, nil
 }

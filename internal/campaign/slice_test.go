@@ -1,7 +1,9 @@
 package campaign
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -139,6 +141,66 @@ func TestCampaignResumeEqualsStraightRun(t *testing.T) {
 	}
 	if a, b := lastCheckpoint(straightPath), lastCheckpoint(resumedPath); a == "" || a != b {
 		t.Errorf("final checkpoint records differ:\nstraight: %s\nresumed:  %s", a, b)
+	}
+}
+
+// TestCampaignResumeAfterCutBeforeCoverage cuts a coverage campaign's
+// journal right after a trial record whose coverage record follows it, as
+// a kill between the two lines would, and resumes. It does so at every
+// such trial. The cut trial must run again: restored without its coverage
+// record, it would let later trials earn new-coverage reward for items the
+// uninterrupted campaign had already seen, and the runs would diverge.
+func TestCampaignResumeAfterCutBeforeCoverage(t *testing.T) {
+	const trials = 200
+	dir := t.TempDir()
+	cfg := sliceTestConfig(trials)
+	cfg.BaseSeed = 3
+	cfg.CheckpointPath = filepath.Join(dir, "straight.jsonl")
+	straight, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wj, _ := json.Marshal(straight)
+	data, err := os.ReadFile(cfg.CheckpointPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	trialsBefore, cuts := 0, 0
+	for i := 0; i+1 < len(lines); i++ {
+		if !bytes.Contains(lines[i], []byte(`"type":"trial"`)) {
+			continue
+		}
+		if !bytes.Contains(lines[i+1], []byte(`"type":"coverage"`)) {
+			trialsBefore++
+			continue
+		}
+		cuts++
+		cut := cfg
+		cut.CheckpointPath = filepath.Join(dir, fmt.Sprintf("cut%d.jsonl", i+1))
+		cut.Resume = true
+		if err := os.WriteFile(cut.CheckpointPath, bytes.Join(lines[:i+1], nil), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		resumed, err := Run(cut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resumed.Resumed != trialsBefore {
+			t.Errorf("cut after line %d: Resumed = %d, want %d (the cut trial runs again)",
+				i+1, resumed.Resumed, trialsBefore)
+		}
+		resumed.Resumed = 0
+		if rj, _ := json.Marshal(resumed); string(rj) != string(wj) {
+			t.Fatalf("cut after line %d: resumed result differs:\nstraight: %s\nresumed:  %s", i+1, wj, rj)
+		}
+		trialsBefore++
+		if testing.Short() && cuts == 3 {
+			break
+		}
+	}
+	if cuts == 0 {
+		t.Fatal("the campaign journaled no coverage records")
 	}
 }
 

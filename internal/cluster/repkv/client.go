@@ -1,7 +1,6 @@
 package repkv
 
 import (
-	"encoding/json"
 	"sync"
 	"time"
 
@@ -49,11 +48,9 @@ func NewClient(l *eventloop.Loop, net *simnet.Network, nodes int, retry time.Dur
 				return
 			}
 			conn.OnData(func(data []byte) {
-				var m msg
-				if json.Unmarshal(data, &m) != nil {
-					return
+				if m, err := decodeMsg(data); err == nil {
+					c.onMsg(m)
 				}
-				c.onMsg(m)
 			})
 			c.mu.Lock()
 			c.conns[i] = conn
@@ -67,7 +64,7 @@ func NewClient(l *eventloop.Loop, net *simnet.Network, nodes int, retry time.Dur
 // unit with no outgoing events keeps the client out of the happens-before
 // paths the REP bugs race on.
 func (c *Client) onMsg(m msg) {
-	if m.T != "reply" || !m.OK {
+	if m.T != msgReply || !m.OK {
 		return
 	}
 	c.mu.Lock()
@@ -94,8 +91,7 @@ func (c *Client) Incr(key string, seq, prefer int) {
 			return
 		}
 		if conn != nil && !conn.Closed() {
-			data, _ := json.Marshal(msg{T: "req", Seq: seq, Key: key})
-			_ = conn.Send(data)
+			_ = conn.Send(appendMsg(nil, msg{T: msgReq, Seq: seq, Key: key}))
 		}
 		c.loop.SetTimeoutNamed("client-retry", c.retry, func() { attempt(target + 1) })
 	}
@@ -111,8 +107,7 @@ func (c *Client) Get(key string, target int) {
 	if conn == nil || conn.Closed() {
 		return
 	}
-	data, _ := json.Marshal(msg{T: "get", Key: key})
-	_ = conn.Send(data)
+	_ = conn.Send(appendMsg(nil, msg{T: msgGet, Key: key}))
 }
 
 // Acked reports whether the write with token seq has been acked.

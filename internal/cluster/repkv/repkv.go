@@ -6,7 +6,8 @@
 // replication, and crash recovery to manifest — so it trades throughput for
 // being small enough to read in one sitting.
 //
-// Protocol sketch (one message per simnet send, JSON-encoded):
+// Protocol sketch (one message per simnet send, in the binary format of
+// codec.go):
 //
 //	req/reply      client -> leader: INCR key (Seq dedups retries)
 //	get/getreply   client -> any: local read (no quorum; noise traffic)
@@ -39,8 +40,6 @@
 package repkv
 
 import (
-	"bytes"
-	"encoding/json"
 	"time"
 
 	"nodefz/internal/cluster"
@@ -90,28 +89,22 @@ type Config struct {
 func (c Config) quorum() int { return c.Nodes/2 + 1 }
 
 type entry struct {
-	View int    `json:"v"`
-	Seq  int    `json:"q"`
-	Key  string `json:"k"`
+	View int
+	Seq  int
+	Key  string
 }
 
+// msg is one protocol message; codec.go gives its wire format.
 type msg struct {
-	T      string  `json:"t"`
-	View   int     `json:"view"`
-	From   int     `json:"from"`
-	Seq    int     `json:"seq,omitempty"`
-	Key    string  `json:"key,omitempty"`
-	Val    int     `json:"val,omitempty"`
-	Log    []entry `json:"log,omitempty"`
-	Commit int     `json:"commit,omitempty"`
-	OK     bool    `json:"ok,omitempty"`
-}
-
-// walRecord is one line of the on-disk log: an appended entry or a commit
-// advance. Recovery folds the lines back into (log, committed prefix).
-type walRecord struct {
-	E *entry `json:"e,omitempty"`
-	C int    `json:"c,omitempty"`
+	T      msgType
+	View   int
+	From   int
+	Seq    int
+	Key    string
+	Val    int
+	Commit int
+	OK     bool
+	Log    []entry
 }
 
 const walPath = "/wal"
@@ -143,6 +136,7 @@ type Replica struct {
 	clientFor   map[int]*simnet.Conn // seq -> client conn awaiting ack
 	acked       map[int]bool         // seqs already acked to a client
 	conns       []*simnet.Conn       // all conns to close on kill
+	buf         []byte               // encoding scratch for sends and WAL appends
 }
 
 // Boot installs a replica on a cluster node: recovery from the durable WAL,
@@ -208,23 +202,7 @@ func (r *Replica) recover() {
 		}
 		return
 	}
-	var lg []entry
-	committed := 0
-	for _, line := range bytes.Split(data, []byte("\n")) {
-		if len(line) == 0 {
-			continue
-		}
-		var rec walRecord
-		if json.Unmarshal(line, &rec) != nil {
-			continue
-		}
-		if rec.E != nil {
-			lg = append(lg, *rec.E)
-		}
-		if rec.C > committed {
-			committed = rec.C
-		}
-	}
+	lg, committed := decodeWAL(data)
 	r.log = lg
 	r.commit = committed
 	for i := range lg {
@@ -235,14 +213,16 @@ func (r *Replica) recover() {
 	r.status = "recovering"
 }
 
+// walAppend and walCommit persist one WAL record. Caller holds r.mu, which
+// guards r.buf; Append copies the record.
 func (r *Replica) walAppend(e entry) {
-	line, _ := json.Marshal(walRecord{E: &e})
-	_ = r.env.Disk.Append(walPath, append(line, '\n'))
+	r.buf = appendWALEntry(r.buf[:0], e)
+	_ = r.env.Disk.Append(walPath, r.buf)
 }
 
 func (r *Replica) walCommit(c int) {
-	line, _ := json.Marshal(walRecord{C: c})
-	_ = r.env.Disk.Append(walPath, append(line, '\n'))
+	r.buf = appendWALCommit(r.buf[:0], c)
+	_ = r.env.Disk.Append(walPath, r.buf)
 }
 
 func (r *Replica) leader() int { return r.view % r.cfg.Nodes }
@@ -259,11 +239,9 @@ func (r *Replica) accept(c *simnet.Conn) {
 	r.conns = append(r.conns, c)
 	r.mu.Unlock()
 	c.OnData(func(data []byte) {
-		var m msg
-		if json.Unmarshal(data, &m) != nil {
-			return
+		if m, err := decodeMsg(data); err == nil {
+			r.handle(m, c)
 		}
-		r.handle(m, c)
 	})
 }
 
@@ -287,11 +265,9 @@ func (r *Replica) redial() {
 				return
 			}
 			c.OnData(func(data []byte) {
-				var m msg
-				if json.Unmarshal(data, &m) != nil {
-					return
+				if m, err := decodeMsg(data); err == nil {
+					r.handle(m, c)
 				}
-				r.handle(m, c)
 			})
 			r.mu.Lock()
 			if r.peers[id] != nil && !r.peers[id].Closed() {
@@ -305,13 +281,15 @@ func (r *Replica) redial() {
 	}
 }
 
+// send encodes m into r.buf and sends it. Caller holds r.mu; Send copies
+// the message.
 func (r *Replica) send(c *simnet.Conn, m msg) {
 	if c == nil {
 		return
 	}
 	m.From = r.id
-	data, _ := json.Marshal(m)
-	_ = c.Send(data)
+	r.buf = appendMsg(r.buf[:0], m)
+	_ = c.Send(r.buf)
 }
 
 // cast sends m to every peer, in node-id order (determinism: the send order
@@ -338,9 +316,9 @@ func (r *Replica) tick() {
 			// Heartbeat; re-prepare while a suffix is uncommitted so lost
 			// prepares (partitions drop, never retransmit) are retried.
 			if r.commit < len(r.log) {
-				r.cast(msg{T: "prep", View: r.view, Log: r.log, Commit: r.commit})
+				r.cast(msg{T: msgPrep, View: r.view, Log: r.log, Commit: r.commit})
 			} else {
-				r.cast(msg{T: "commit", View: r.view, Commit: r.commit})
+				r.cast(msg{T: msgCommit, View: r.view, Commit: r.commit})
 			}
 			return
 		}
@@ -355,9 +333,9 @@ func (r *Replica) tick() {
 			r.startViewChange(r.view + 1)
 			return
 		}
-		r.cast(msg{T: "svc", View: r.view, Log: r.log, Commit: r.commit})
+		r.cast(msg{T: msgSVC, View: r.view, Log: r.log, Commit: r.commit})
 	case "recovering":
-		r.cast(msg{T: "getstate", View: r.view})
+		r.cast(msg{T: msgGetState, View: r.view})
 	}
 }
 
@@ -369,34 +347,34 @@ func (r *Replica) startViewChange(v int) {
 	r.votes = map[int]bool{r.id: true}
 	r.bestLog = append([]entry(nil), r.log...)
 	r.bestCommit = r.commit
-	r.cast(msg{T: "svc", View: r.view, Log: r.log, Commit: r.commit})
+	r.cast(msg{T: msgSVC, View: r.view, Log: r.log, Commit: r.commit})
 }
 
 func (r *Replica) handle(m msg, from *simnet.Conn) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	switch m.T {
-	case "req":
+	case msgReq:
 		r.onReq(m, from)
-	case "get":
-		r.send(from, msg{T: "getreply", View: r.view, Seq: m.Seq, Key: m.Key, Val: r.store[m.Key]})
-	case "prep":
+	case msgGet:
+		r.send(from, msg{T: msgGetReply, View: r.view, Seq: m.Seq, Key: m.Key, Val: r.store[m.Key]})
+	case msgPrep:
 		r.onPrep(m, from)
-	case "prepok":
+	case msgPrepOK:
 		r.onPrepOK(m)
-	case "commit":
+	case msgCommit:
 		r.onCommit(m, from)
-	case "svc":
+	case msgSVC:
 		r.onSVC(m)
-	case "sv":
+	case msgSV:
 		if m.View >= r.view {
 			r.install(m.View, m.Log, m.Commit)
 		}
-	case "getstate":
+	case msgGetState:
 		if r.status == "normal" {
-			r.send(from, msg{T: "state", View: r.view, Log: r.log, Commit: r.commit})
+			r.send(from, msg{T: msgState, View: r.view, Log: r.log, Commit: r.commit})
 		}
-	case "state":
+	case msgState:
 		r.onState(m)
 	}
 }
@@ -407,7 +385,7 @@ func (r *Replica) handle(m msg, from *simnet.Conn) {
 // acks here, before any backup has seen the entry.
 func (r *Replica) onReq(m msg, from *simnet.Conn) {
 	if r.status != "normal" || r.leader() != r.id {
-		r.send(from, msg{T: "reply", View: r.view, Seq: m.Seq, OK: false})
+		r.send(from, msg{T: msgReply, View: r.view, Seq: m.Seq, OK: false})
 		return
 	}
 	for i, e := range r.log {
@@ -434,12 +412,12 @@ func (r *Replica) onReq(m msg, from *simnet.Conn) {
 		r.tag(TagLocalAck, e.Key)
 		r.ackSeq(m.Seq, from)
 	}
-	r.cast(msg{T: "prep", View: r.view, Log: r.log, Commit: r.commit})
+	r.cast(msg{T: msgPrep, View: r.view, Log: r.log, Commit: r.commit})
 }
 
 func (r *Replica) ackSeq(seq int, c *simnet.Conn) {
 	r.acked[seq] = true
-	r.send(c, msg{T: "reply", View: r.view, Seq: seq, OK: true})
+	r.send(c, msg{T: msgReply, View: r.view, Seq: seq, OK: true})
 }
 
 func (r *Replica) applyOne(e entry) { r.store[e.Key]++ }
@@ -478,7 +456,7 @@ func (r *Replica) onPrep(m msg, from *simnet.Conn) {
 		// A stale leader (healed minority) is pushing an old view's log:
 		// correct it with our state instead of acking.
 		if r.status == "normal" {
-			r.send(from, msg{T: "state", View: r.view, Log: r.log, Commit: r.commit})
+			r.send(from, msg{T: msgState, View: r.view, Log: r.log, Commit: r.commit})
 		}
 		return
 	}
@@ -497,7 +475,7 @@ func (r *Replica) onPrep(m msg, from *simnet.Conn) {
 		}
 	}
 	r.advanceCommit(m.Commit)
-	r.send(from, msg{T: "prepok", View: r.view, Commit: len(r.log)})
+	r.send(from, msg{T: msgPrepOK, View: r.view, Commit: len(r.log)})
 }
 
 func (r *Replica) onPrepOK(m msg) {
@@ -513,14 +491,14 @@ func (r *Replica) onPrepOK(m msg) {
 	// +1: the leader's own log counts toward the quorum.
 	if len(set)+1 >= r.cfg.quorum() && m.Commit > r.commit {
 		r.advanceCommit(m.Commit)
-		r.cast(msg{T: "commit", View: r.view, Commit: r.commit})
+		r.cast(msg{T: msgCommit, View: r.view, Commit: r.commit})
 	}
 }
 
 func (r *Replica) onCommit(m msg, from *simnet.Conn) {
 	if m.View < r.view {
 		if r.status == "normal" {
-			r.send(from, msg{T: "state", View: r.view, Log: r.log, Commit: r.commit})
+			r.send(from, msg{T: msgState, View: r.view, Log: r.log, Commit: r.commit})
 		}
 		return
 	}
@@ -541,7 +519,7 @@ func (r *Replica) askState(view int, from *simnet.Conn) {
 	if r.status != "recovering" {
 		r.status = "recovering"
 	}
-	r.send(from, msg{T: "getstate", View: r.view})
+	r.send(from, msg{T: msgGetState, View: r.view})
 }
 
 func (r *Replica) onSVC(m msg) {
@@ -563,7 +541,7 @@ func (r *Replica) onSVC(m msg) {
 		// Elected: adopt the best quorum log and announce the view.
 		lg, commit, view := r.bestLog, r.bestCommit, r.view
 		r.install(view, lg, commit)
-		r.cast(msg{T: "sv", View: view, Log: lg, Commit: commit})
+		r.cast(msg{T: msgSV, View: view, Log: lg, Commit: commit})
 	}
 }
 

@@ -1,7 +1,6 @@
 package kvstore
 
 import (
-	"encoding/json"
 	"errors"
 	"strconv"
 
@@ -25,6 +24,7 @@ type Client struct {
 	pending map[uint64]func(Reply)
 	seq     uint64
 	closed  bool
+	buf     []byte // request encoding scratch; the client runs on its loop
 }
 
 // NewClient dials poolSize connections to addr and invokes ready on loop
@@ -64,8 +64,8 @@ func NewClient(loop *eventloop.Loop, net *simnet.Network, addr string, poolSize 
 }
 
 func (c *Client) onData(msg []byte) {
-	var resp response
-	if err := json.Unmarshal(msg, &resp); err != nil {
+	resp, err := decodeResponse(msg)
+	if err != nil {
 		return
 	}
 	cb, ok := c.pending[resp.ID]
@@ -112,7 +112,8 @@ func (c *Client) Do(op string, args []string, cb func(Reply)) {
 	c.pending[id] = cb
 	conn := c.conns[c.next%len(c.conns)]
 	c.next++
-	if err := conn.Send(encode(request{ID: id, Op: op, Args: args})); err != nil {
+	c.buf = appendRequest(c.buf[:0], request{ID: id, Op: op, Args: args})
+	if err := conn.Send(c.buf); err != nil {
 		delete(c.pending, id)
 		c.loop.NextTickNamed("kv-err", func() { cb(Reply{Err: err}) })
 	}

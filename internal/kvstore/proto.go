@@ -10,12 +10,18 @@
 // concurrent updates from a JavaScript driver — they may be *processed* in
 // either order even though they were *issued* in program order. That
 // reordering window is what the KUE/GHO/MGS bugs depend on.
+//
+// Requests and responses travel in the binary format of internal/wire (see
+// request and response below). The values of HGETALL and LRANGE replies are
+// JSON, decoded by DecodeMap and DecodeList.
 package kvstore
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
+
+	"nodefz/internal/wire"
 )
 
 // Supported operations.
@@ -40,26 +46,73 @@ const (
 	OpPing    = "PING"
 )
 
-// request is the wire format client -> server.
+// request is one command, client -> server. On the wire: ID uvarint, Op
+// string, Args count, then each arg as a string. Empty Args decode as nil.
 type request struct {
-	ID   uint64   `json:"id"`
-	Op   string   `json:"op"`
-	Args []string `json:"args"`
+	ID   uint64
+	Op   string
+	Args []string
 }
 
-// response is the wire format server -> client.
+// response is one reply, server -> client. On the wire: ID uvarint, Val
+// string, OK bool, Err string.
 type response struct {
-	ID  uint64 `json:"id"`
-	Val string `json:"val"`
-	OK  bool   `json:"ok"`
-	Err string `json:"err,omitempty"`
+	ID  uint64
+	Val string
+	OK  bool
+	Err string
 }
 
-func encode(v any) []byte {
+func appendRequest(b []byte, req request) []byte {
+	b = wire.AppendUvarint(b, req.ID)
+	b = wire.AppendString(b, req.Op)
+	b = wire.AppendUvarint(b, uint64(len(req.Args)))
+	for _, a := range req.Args {
+		b = wire.AppendString(b, a)
+	}
+	return b
+}
+
+// decodeRequest decodes a request. On error the request holds the fields
+// read before the malformed one, so a bad request is answered with its ID
+// when the ID itself was readable.
+func decodeRequest(data []byte) (request, error) {
+	r := wire.NewReader(data)
+	var req request
+	req.ID = r.Uvarint()
+	req.Op = r.String()
+	if n := r.Count(); n > 0 {
+		req.Args = make([]string, n)
+		for i := range req.Args {
+			req.Args[i] = r.String()
+		}
+	}
+	return req, r.Done()
+}
+
+func appendResponse(b []byte, resp response) []byte {
+	b = wire.AppendUvarint(b, resp.ID)
+	b = wire.AppendString(b, resp.Val)
+	b = wire.AppendBool(b, resp.OK)
+	return wire.AppendString(b, resp.Err)
+}
+
+func decodeResponse(data []byte) (response, error) {
+	r := wire.NewReader(data)
+	var resp response
+	resp.ID = r.Uvarint()
+	resp.Val = r.String()
+	resp.OK = r.Bool()
+	resp.Err = r.String()
+	return resp, r.Done()
+}
+
+// encodeJSON encodes an HGETALL or LRANGE reply value.
+func encodeJSON(v any) []byte {
 	b, err := json.Marshal(v)
 	if err != nil {
-		// The wire types marshal unconditionally; failure is a programming
-		// error.
+		// Maps and slices of strings marshal unconditionally; failure is a
+		// programming error.
 		panic(fmt.Sprintf("kvstore: marshal: %v", err))
 	}
 	return b

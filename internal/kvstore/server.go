@@ -1,7 +1,6 @@
 package kvstore
 
 import (
-	"encoding/json"
 	"strconv"
 	"time"
 
@@ -29,6 +28,7 @@ type Server struct {
 	probeMatch func(key string) bool
 
 	requests int
+	buf      []byte // response encoding scratch; the server runs on one loop
 }
 
 // SetWorkModel installs a per-query service-time model: the reply to a
@@ -80,9 +80,9 @@ func (s *Server) Requests() int { return s.requests }
 
 func (s *Server) accept(c *simnet.Conn) {
 	c.OnData(func(msg []byte) {
-		var req request
-		if err := json.Unmarshal(msg, &req); err != nil {
-			_ = c.Send(encode(response{ID: req.ID, Err: "bad request: " + err.Error()}))
+		req, err := decodeRequest(msg)
+		if err != nil {
+			s.reply(c, response{ID: req.ID, Err: "bad request: " + err.Error()})
 			return
 		}
 		var delay time.Duration
@@ -90,13 +90,19 @@ func (s *Server) accept(c *simnet.Conn) {
 			delay = s.workModel(req.Op, req.Args)
 		}
 		if delay <= 0 {
-			_ = c.Send(encode(s.apply(req)))
+			s.reply(c, s.apply(req))
 			return
 		}
 		s.loop.SetTimeoutNamed("db-work", delay, func() {
-			_ = c.Send(encode(s.apply(req)))
+			s.reply(c, s.apply(req))
 		})
 	})
+}
+
+// reply encodes resp into s.buf and sends it; Send copies the message.
+func (s *Server) reply(c *simnet.Conn, resp response) {
+	s.buf = appendResponse(s.buf[:0], resp)
+	_ = c.Send(s.buf)
 }
 
 // expired implements lazy TTL expiry (SETNX locks).
@@ -229,7 +235,7 @@ func (s *Server) apply(req request) response {
 		resp.OK = had
 
 	case OpHGetAll:
-		resp.Val = string(encode(s.hashes[arg(0)]))
+		resp.Val = string(encodeJSON(s.hashes[arg(0)]))
 		resp.OK = true
 
 	case OpHLen:
@@ -280,7 +286,7 @@ func (s *Server) apply(req request) response {
 			resp.Val, resp.OK = "[]", true
 			break
 		}
-		resp.Val, resp.OK = string(encode(list[start:stop+1])), true
+		resp.Val, resp.OK = string(encodeJSON(list[start:stop+1])), true
 
 	default:
 		resp.Err = "unknown op " + req.Op
