@@ -14,7 +14,6 @@ import (
 	"io"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"nodefz/internal/bugs"
 	"nodefz/internal/campaign"
@@ -24,12 +23,9 @@ import (
 	"nodefz/internal/eventloop"
 	"nodefz/internal/fleet"
 	"nodefz/internal/harness"
-	"nodefz/internal/httpsim"
-	"nodefz/internal/loadgen"
 	"nodefz/internal/metrics"
 	"nodefz/internal/oracle"
 	"nodefz/internal/sched"
-	"nodefz/internal/simnet"
 	"nodefz/internal/vclock"
 )
 
@@ -177,46 +173,6 @@ func BenchmarkGuided(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(manifested)/float64(b.N), "manifest/op")
-		})
-	}
-}
-
-// --- Server throughput under each scheduler (extension) --------------------
-
-func BenchmarkServerThroughput(b *testing.B) {
-	for _, mode := range harness.Fig6Modes() {
-		mode := mode
-		b.Run(mode.String(), func(b *testing.B) {
-			var requests int
-			for i := 0; i < b.N; i++ {
-				seed := int64(i + 1)
-				l := eventloop.New(eventloop.Options{Scheduler: harness.SchedulerFor(mode, seed)})
-				net := simnet.New(simnet.Config{
-					Seed:       seed,
-					MinLatency: 300 * time.Microsecond,
-					MaxLatency: time.Millisecond,
-				})
-				srv, err := httpsim.NewServer(l, net, "api")
-				if err != nil {
-					b.Fatal(err)
-				}
-				srv.Handle("GET", "/", func(w *httpsim.ResponseWriter, r *httpsim.Request) {
-					w.Text(httpsim.StatusOK, "ok")
-				})
-				loadgen.Run(l, net, "api", loadgen.Config{
-					Seed:              seed,
-					Clients:           4,
-					RequestsPerClient: 8,
-				}, func(res loadgen.Result) {
-					requests += res.Requests
-					srv.Close()
-				})
-				if err := l.Run(); err != nil {
-					b.Fatal(err)
-				}
-				net.Close()
-			}
-			b.ReportMetric(float64(requests)/float64(b.N), "requests/op")
 		})
 	}
 }

@@ -30,7 +30,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: table1|table2|table3|fig6|fig7|fig8|fidelity|guided|sweep|explore|all")
+		exp      = flag.String("exp", "all", "experiment: table1|table2|table3|fig6|fig7|fig8|fidelity|guided|sweep|all")
 		trials   = flag.Int("trials", 100, "trials per bug per mode (fig6, guided uses half)")
 		runs     = flag.Int("runs", 10, "suite runs per mode (fig7; fig8 uses 5x)")
 		truncate = flag.Int("truncate", 20000, "type-schedule truncation for fig7 (<0: none)")
@@ -54,7 +54,7 @@ func main() {
 
 	ok := map[string]bool{"all": true, "table1": true, "table2": true, "table3": true,
 		"fig6": true, "fig7": true, "fig8": true, "fidelity": true, "guided": true,
-		"sweep": true, "explore": true}
+		"sweep": true}
 	if !ok[*exp] {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
 		flag.Usage()
@@ -88,13 +88,6 @@ func main() {
 	run("fig8", func() { harness.WriteFig8(w, harness.Fig8(*runs*5, *seed)) })
 	run("fidelity", func() { harness.WriteFidelity(w, harness.Fidelity(harness.ModeFZ, *seeds)) })
 	run("guided", func() { harness.WriteGuided(w, harness.Guided(*trials/2, *seed)) })
-	run("explore", func() {
-		for _, abbr := range []string{"NES", "GHO", "AKA"} {
-			app := bugs.ByAbbr(abbr)
-			harness.WriteExplore(w, harness.Explore(app, *seed, 25, 80))
-			fmt.Fprintln(w)
-		}
-	})
 	run("sweep", func() {
 		values := []int{0, 10, 20, 40, 80}
 		harness.WriteSweep(w, []harness.SweepResult{

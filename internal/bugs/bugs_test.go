@@ -8,6 +8,7 @@ import (
 	"nodefz/internal/core"
 	"nodefz/internal/eventloop"
 	"nodefz/internal/sched"
+	"nodefz/internal/vclock"
 )
 
 func TestRegistryIntegrity(t *testing.T) {
@@ -125,12 +126,10 @@ func TestEveryBugRunsCleanFuzzed(t *testing.T) {
 	}
 }
 
-// TestFixedVariantsClean runs each patched variant under one fuzzed seed;
-// a manifestation would mean the paper's fix is modelled wrong.
+// TestFixedVariantsClean runs each patched variant under one fuzzed seed on
+// a virtual clock; a manifestation would mean the paper's fix is modelled
+// wrong.
 func TestFixedVariantsClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the whole corpus")
-	}
 	for _, app := range All() {
 		app := app
 		if app.Abbr == "KUE-2014" {
@@ -141,6 +140,7 @@ func TestFixedVariantsClean(t *testing.T) {
 			out := app.RunFixed(RunConfig{
 				Seed:      17,
 				Scheduler: core.NewScheduler(core.StandardParams(), 17),
+				Clock:     vclock.NewVirtual(),
 			})
 			if out.Manifested {
 				t.Fatalf("fixed variant manifested: %s", out.Note)

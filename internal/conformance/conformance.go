@@ -80,9 +80,10 @@ func runLoop(l *eventloop.Loop) error {
 func timerNeverEarly(newLoop func() *eventloop.Loop, seed int64) error {
 	l := newLoop()
 	const d = 10 * time.Millisecond
-	start := time.Now()
+	clk := l.Clock()
+	start := clk.Now()
 	var fired time.Time
-	l.SetTimeout(d, func() { fired = time.Now() })
+	l.SetTimeout(d, func() { fired = clk.Now() })
 	if err := runLoop(l); err != nil {
 		return err
 	}
@@ -234,7 +235,7 @@ func emitterOrder(newLoop func() *eventloop.Loop, seed int64) error {
 
 func netFIFO(newLoop func() *eventloop.Loop, seed int64) error {
 	l := newLoop()
-	net := simnet.New(simnet.Config{Seed: seed, MinLatency: time.Millisecond, MaxLatency: 2 * time.Millisecond})
+	net := simnet.New(simnet.Config{Seed: seed, MinLatency: time.Millisecond, MaxLatency: 2 * time.Millisecond, Clock: l.Clock()})
 	defer net.Close()
 	const n = 20
 	var got []int
@@ -274,7 +275,7 @@ func netFIFO(newLoop func() *eventloop.Loop, seed int64) error {
 
 func netCloseAfterData(newLoop func() *eventloop.Loop, seed int64) error {
 	l := newLoop()
-	net := simnet.New(simnet.Config{Seed: seed, MinLatency: time.Millisecond, MaxLatency: 2 * time.Millisecond})
+	net := simnet.New(simnet.Config{Seed: seed, MinLatency: time.Millisecond, MaxLatency: 2 * time.Millisecond, Clock: l.Clock()})
 	defer net.Close()
 	var events []string
 	ln, err := net.Listen(l, "srv", func(c *simnet.Conn) {
@@ -303,7 +304,7 @@ func netCloseAfterData(newLoop func() *eventloop.Loop, seed int64) error {
 
 func kvFIFO(newLoop func() *eventloop.Loop, seed int64) error {
 	l := newLoop()
-	net := simnet.New(simnet.Config{Seed: seed, MinLatency: time.Millisecond, MaxLatency: 2 * time.Millisecond})
+	net := simnet.New(simnet.Config{Seed: seed, MinLatency: time.Millisecond, MaxLatency: 2 * time.Millisecond, Clock: l.Clock()})
 	defer net.Close()
 	srv, err := kvstore.NewServer(l, net, "db")
 	if err != nil {

@@ -170,56 +170,3 @@ func TestRecordReplayEndToEnd(t *testing.T) {
 	}
 	t.Logf("replay misses: %d", rep.Misses())
 }
-
-// TestRecordingWrapsSystematic: the recorder composes with any scheduler,
-// including the systematic one — so a manifesting delay vector found by
-// the explorer can be captured as a decision trace and replayed.
-func TestRecordingWrapsSystematic(t *testing.T) {
-	sys := NewSystematic([]int{0, 2})
-	rec := NewRecording(sys)
-	l := eventloop.New(eventloop.Options{Scheduler: rec})
-	done := 0
-	for i := 0; i < 4; i++ {
-		l.SetTimeout(time.Millisecond, func() { done++ })
-		l.QueueWork("w", func() (any, error) { return nil, nil }, func(any, error) { done++ })
-	}
-	finish := make(chan error, 1)
-	go func() { finish <- l.Run() }()
-	select {
-	case err := <-finish:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(20 * time.Second):
-		t.Fatal("hung")
-	}
-	if done != 8 {
-		t.Fatalf("done = %d/8", done)
-	}
-	tr := rec.Trace()
-	total := len(tr.Timers) + len(tr.Shuffle) + len(tr.Close) + len(tr.Pick)
-	if total == 0 {
-		t.Fatal("nothing recorded")
-	}
-
-	// Replay the captured decisions over the same program.
-	rep := NewReplay(tr, NewNoFuzzScheduler())
-	l2 := eventloop.New(eventloop.Options{Scheduler: rep})
-	done2 := 0
-	for i := 0; i < 4; i++ {
-		l2.SetTimeout(time.Millisecond, func() { done2++ })
-		l2.QueueWork("w", func() (any, error) { return nil, nil }, func(any, error) { done2++ })
-	}
-	go func() { finish <- l2.Run() }()
-	select {
-	case err := <-finish:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(20 * time.Second):
-		t.Fatal("replay hung")
-	}
-	if done2 != 8 {
-		t.Fatalf("replay done = %d/8", done2)
-	}
-}

@@ -1,10 +1,6 @@
 package harness
 
-import (
-	"testing"
-
-	"nodefz/internal/bugs"
-)
+import "testing"
 
 // TestCalibrationReport checks that the corpus has the Figure 6 shape: on
 // every Figure 6 bug the fuzzer manifests at least as often as vanilla
@@ -12,11 +8,7 @@ import (
 // in virtual time, so the counts are exact per seed; `fzbench -exp fig6`
 // gives the wall-clock rates. Run with -v to see the table.
 func TestCalibrationReport(t *testing.T) {
-	// ReproRate draws each trial's clock from the process-wide default; a
-	// top-level test runs alone, so switching it here is safe.
-	wasVirtual := bugs.TrialClock() != nil
-	bugs.SetVirtualTime(true)
-	defer bugs.SetVirtualTime(wasVirtual)
+	virtualTrials(t)
 
 	const trials, baseSeed = 20, 1000
 	var total [3]int // nodeV, nodeNFZ, nodeFZ

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"nodefz/internal/bugs"
 	"nodefz/internal/conformance"
 	"nodefz/internal/eventloop"
 )
@@ -19,13 +20,14 @@ type FidelityResult struct {
 	Failures  []string
 }
 
-// Fidelity runs the conformance suite under mode for seeds different seeds.
+// Fidelity runs the conformance suite under mode for seeds different seeds,
+// each loop on the trial clock (bugs.TrialClock).
 func Fidelity(mode Mode, seeds int) FidelityResult {
 	res := FidelityResult{Mode: mode, Seeds: seeds, Scenarios: len(conformance.Suite())}
 	for s := 0; s < seeds; s++ {
 		seed := int64(s * 271)
 		newLoop := func() *eventloop.Loop {
-			return eventloop.New(eventloop.Options{Scheduler: SchedulerFor(mode, seed)})
+			return eventloop.New(eventloop.Options{Scheduler: SchedulerFor(mode, seed), Clock: bugs.TrialClock()})
 		}
 		for _, err := range conformance.RunAll(newLoop, seed) {
 			res.Failures = append(res.Failures, fmt.Sprintf("seed %d: %v", seed, err))

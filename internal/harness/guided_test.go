@@ -11,11 +11,7 @@ import (
 // configurations (paper: 3/50 -> 13/50). Trials run in virtual time, so the
 // counts are exact per seed (nodeV 5, nodeNFZ 5, nodeFZ 9, guided 22 of 25).
 func TestGuidedCalibration(t *testing.T) {
-	// ReproRate draws each trial's clock from the process-wide default; a
-	// top-level test runs alone, so switching it here is safe.
-	wasVirtual := bugs.TrialClock() != nil
-	bugs.SetVirtualTime(true)
-	defer bugs.SetVirtualTime(wasVirtual)
+	virtualTrials(t)
 
 	app := bugs.ByAbbr("KUE-2014")
 	const trials, baseSeed = 25, 500
@@ -31,18 +27,33 @@ func TestGuidedCalibration(t *testing.T) {
 }
 
 // TestFixedVariantsNeverManifest is the corpus-level correctness check: the
-// paper's patches eliminate every manifestation even under the fuzzer.
+// paper's patches eliminate every manifestation even under the fuzzer. Every
+// patched variant runs under nodeV, nodeNFZ and nodeFZ over seeds 0-299
+// (0-29 under -short) in virtual time, so a manifestation is a pure function
+// of its seed.
 func TestFixedVariantsNeverManifest(t *testing.T) {
+	virtualTrials(t)
+
+	trials := 300
 	if testing.Short() {
-		t.Skip("expensive")
+		trials = 30
 	}
 	for _, app := range bugs.All() {
 		if app.RunFixed == nil || app.Abbr == "KUE-2014" {
-			continue
+			continue // KUE-2014's "fix" disables the assertion
 		}
-		r := FixedRate(app, ModeFZ, 10, 3000)
-		if r.Manifested > 0 {
-			t.Errorf("%s: fixed variant manifested %d/%d (%s)", app.Abbr, r.Manifested, r.Trials, r.FirstNote)
+		for _, mode := range Fig6Modes() {
+			if r := FixedRate(app, mode, trials, 0); r.Manifested > 0 {
+				t.Errorf("%s: fixed variant manifested %d/%d under %s (%s)", app.Abbr, r.Manifested, r.Trials, mode, r.FirstNote)
+			}
+		}
+	}
+	// Witnesses: at these seeds SIO-novel's test 1 setup connection reaches
+	// the server inside test 2's window. It is not the leaked reconnect, so
+	// it must not count as a stray.
+	for _, seed := range []int64{3528, 3658} {
+		if r := FixedRate(bugs.ByAbbr("SIO-novel"), ModeFZ, 1, seed); r.Manifested > 0 {
+			t.Errorf("SIO-novel: fixed variant manifested under %s at seed %d (%s)", ModeFZ, seed, r.FirstNote)
 		}
 	}
 }

@@ -46,13 +46,16 @@ func TestRateFraction(t *testing.T) {
 	}
 }
 
+// TestReproRateCounts checks ReproRate's bookkeeping. Trials run in virtual
+// time, so the count is a pure function of the seeds and a second call must
+// agree with the first.
 func TestReproRateCounts(t *testing.T) {
-	// Note: outcomes are NOT bitwise-deterministic per seed — the seed fixes
-	// the scheduler's and substrates' random decisions, but manifestation
-	// also depends on real wall-clock timing, as with the paper's physical
-	// test runs. Only the bookkeeping is asserted here.
+	virtualTrials(t)
 	app := bugs.ByAbbr("KUE")
 	r := ReproRate(app, ModeFZ, 6, 42)
+	if again := ReproRate(app, ModeFZ, 6, 42); again != r {
+		t.Fatalf("same seeds, different rates: %+v then %+v", r, again)
+	}
 	if r.Trials != 6 {
 		t.Fatalf("trials = %d, want 6", r.Trials)
 	}
@@ -89,25 +92,24 @@ func TestFig6SmallBudget(t *testing.T) {
 	}
 }
 
+// TestFig7SmallBudget checks the Figure 7 shape: on every module the
+// fuzzer's type schedules lie further apart than nodeNFZ's (at seed 7, SIO
+// 0.111 -> 0.308, MKD 0.083 -> 0.256). Suites run in virtual time, so the
+// distances are exact per seed; `fzbench -exp fig7` gives the wall-clock
+// figure. Run with -v to see the table.
 func TestFig7SmallBudget(t *testing.T) {
-	if testing.Short() {
-		t.Skip("expensive")
-	}
+	virtualTrials(t)
+
 	rows := Fig7(3, 2000, 7)
 	if len(rows) != len(Fig7Modules) {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	foundVariation := false
+	t.Logf("%-8s %8s %8s", "module", "nodeNFZ", "nodeFZ")
 	for _, row := range rows {
-		if row.NFZ < 0 || row.NFZ > 1 || row.FZ < 0 || row.FZ > 1 {
-			t.Errorf("%s: NLD out of range: %v %v", row.Abbr, row.NFZ, row.FZ)
+		t.Logf("%-8s %8.3f %8.3f", row.Abbr, row.NFZ, row.FZ)
+		if row.NFZ < 0 || row.FZ > 1 || row.FZ <= row.NFZ {
+			t.Errorf("%s: nodeFZ NLD %.3f, want above nodeNFZ's %.3f and within [0, 1]", row.Abbr, row.FZ, row.NFZ)
 		}
-		if row.FZ > 0 {
-			foundVariation = true
-		}
-	}
-	if !foundVariation {
-		t.Error("fuzzed schedules showed no variation at all")
 	}
 	var buf bytes.Buffer
 	WriteFig7(&buf, rows)
@@ -164,9 +166,7 @@ func TestTables(t *testing.T) {
 }
 
 func TestFidelitySmall(t *testing.T) {
-	if testing.Short() {
-		t.Skip("expensive")
-	}
+	virtualTrials(t)
 	res := Fidelity(ModeFZ, 2)
 	if len(res.Failures) != 0 {
 		t.Fatalf("fidelity failures: %v", res.Failures)
@@ -179,9 +179,7 @@ func TestFidelitySmall(t *testing.T) {
 }
 
 func TestGuidedSmall(t *testing.T) {
-	if testing.Short() {
-		t.Skip("expensive")
-	}
+	virtualTrials(t)
 	res := Guided(6, 77)
 	if res.Rates[ModeGuided].Trials != 6 {
 		t.Fatalf("trials = %d", res.Rates[ModeGuided].Trials)

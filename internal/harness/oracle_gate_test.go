@@ -69,9 +69,10 @@ func TestOracleFixedVariantsSilent(t *testing.T) {
 }
 
 // TestOracleConformanceSilent runs the documented-semantics suite with the
-// tracker attached to every loop. Conformance workloads tag no cells, so any
-// report is a tracker false positive, and any scenario failure or panic
-// means the probe hooks perturbed substrate behavior.
+// tracker attached to every loop, each on its own virtual clock.
+// Conformance workloads tag no cells, so any report is a tracker false
+// positive, and any scenario failure or panic means the probe hooks
+// perturbed substrate behavior.
 func TestOracleConformanceSilent(t *testing.T) {
 	seeds := 25
 	if testing.Short() {
@@ -87,6 +88,7 @@ func TestOracleConformanceSilent(t *testing.T) {
 					newLoop := func() *eventloop.Loop {
 						return eventloop.New(eventloop.Options{
 							Scheduler: SchedulerFor(mode, seed),
+							Clock:     vclock.NewVirtual(),
 							Probe:     tr,
 						})
 					}

@@ -7,9 +7,7 @@ import (
 )
 
 func TestSweepSmallBudget(t *testing.T) {
-	if testing.Short() {
-		t.Skip("expensive")
-	}
+	virtualTrials(t)
 	res := Sweep("timer-deferral", "NES", []int{0, 20}, 4, 11)
 	if res.Param != "timer-deferral" || res.Bug != "NES" {
 		t.Fatalf("result metadata: %+v", res)

@@ -13,6 +13,16 @@ import (
 	"nodefz/internal/vclock"
 )
 
+// virtualTrials switches the process-wide trial clock (bugs.TrialClock),
+// from which the harness drivers draw each trial's clock, to virtual time
+// for the rest of the test. A top-level test that is not t.Parallel runs
+// alone, so switching it is safe.
+func virtualTrials(t *testing.T) {
+	was := bugs.TrialClock() != nil
+	bugs.SetVirtualTime(true)
+	t.Cleanup(func() { bugs.SetVirtualTime(was) })
+}
+
 // runVirtualTrial executes one live trial of abbr under a fresh virtual
 // clock, returning the full scheduler decision trace, the recorded type
 // schedule, and the (virtual) entry timestamps.

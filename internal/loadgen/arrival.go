@@ -1,3 +1,7 @@
+// Package loadgen generates open-loop request arrivals on an event loop:
+// an Arrival fires callbacks at the instants of a seeded Poisson process
+// whose rate follows a steady, diurnal or bursty curve. The cluster corpus
+// drives its background client traffic with it.
 package loadgen
 
 import (
@@ -24,7 +28,7 @@ const (
 
 // Arrival is an open-loop (arrival-curve) workload: requests fire at
 // process-generated instants regardless of how the system keeps up, unlike
-// Config's closed-loop clients that wait for each response. Inter-arrival
+// closed-loop clients that wait for each response. Inter-arrival
 // gaps are exponential around the instantaneous rate (a Poisson process
 // whose intensity follows Curve), drawn from a seeded generator, so the
 // whole arrival schedule is a deterministic function of Seed.
