@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"nodefz/internal/bugs"
@@ -285,6 +286,88 @@ func BenchmarkRecorder(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.Record("timer", "t")
+	}
+}
+
+// --- Oracle hot path ---------------------------------------------------------
+
+// BenchmarkOracleUnit measures the oracle hooks one loop callback pays on a
+// warm tracker: capture a registration ref, begin a keyed unit, tag one
+// access and one sync, end the unit. The tracker is reset every 64 units, as
+// a campaign worker resets it between trials, so recycled units and interned
+// kinds serve every op after the first cycle: 0 allocs/op.
+func BenchmarkOracleUnit(b *testing.B) {
+	tr := oracle.New()
+	kinds := []string{"timer", "net-read", "work-done", "immediate"}
+	key := new(int)
+	step := func(i int) {
+		if i%64 == 0 {
+			tr.Reset()
+		}
+		ref := tr.Current()
+		tok := tr.BeginKeyed(kinds[i%len(kinds)], "", key, ref)
+		tr.Access("db:k", oracle.Write)
+		tr.Sync("counter")
+		tr.End(tok)
+	}
+	for i := 0; i < 128; i++ {
+		step(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step(i)
+	}
+}
+
+// sioKinds is the callback-kind schedule of one SIO campaign trial
+// (`fzcampaign -app SIO -seed 3`, trial 0).
+var sioKinds = []string{
+	"net-accept", "timer", "net-accept", "net-connect", "timer", "net-connect", "net-read", "net-read",
+	"timer", "timer", "net-read", "timer", "timer", "net-read", "timer", "net-read", "immediate", "close",
+	"net-read", "close", "timer", "timer", "net-close", "net-close", "close", "close", "close", "timer",
+	"timer", "timer", "timer", "timer", "timer", "timer", "timer", "timer", "timer", "timer", "timer",
+}
+
+// BenchmarkOracleCoverage measures one SIO-shaped trial's coverage on a warm
+// tracker: reset, replay sioKinds as top-level units (network deliveries
+// keyed per connection, the immediate writing a cell the reads read), then
+// take the Coverage digest the campaign journals.
+func BenchmarkOracleCoverage(b *testing.B) {
+	tr := oracle.New()
+	conns := [2]int{}
+	refs := make([]oracle.Ref, 0, len(sioKinds)+1)
+	trial := func() oracle.CoverageDigest {
+		tr.Reset()
+		refs = append(refs[:0], tr.Current())
+		for i, kind := range sioKinds {
+			var key any
+			if strings.HasPrefix(kind, "net-") {
+				key = &conns[i%2]
+			}
+			tok := tr.BeginKeyed(kind, "", key, refs[(i*7)%len(refs)])
+			switch kind {
+			case "immediate":
+				tr.Access("sio:clients", oracle.Write)
+			case "net-read":
+				tr.Access("sio:clients", oracle.Read)
+			}
+			tr.End(tok)
+			refs = append(refs, tok.Ref())
+		}
+		return tr.Coverage()
+	}
+	// Two warm-up trials: the second one's Reset sizes the freelists every
+	// later trial recycles its units and cells through.
+	for i := 0; i < 2; i++ {
+		if d := trial(); len(d.RacingPairs) == 0 || len(d.Tuples) == 0 {
+			b.Fatalf("replay covers nothing: %+v", d)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		trial()
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"nodefz/internal/core"
 	"nodefz/internal/eventloop"
+	"nodefz/internal/vclock"
 )
 
 func schedulers(seed int64) map[string]func() eventloop.Scheduler {
@@ -17,7 +18,9 @@ func schedulers(seed int64) map[string]func() eventloop.Scheduler {
 }
 
 // TestSuiteUnderEveryScheduler is the §4.4 fidelity property: every
-// documented guarantee holds whichever scheduler runs the loop.
+// documented guarantee holds whichever scheduler runs the loop. Each loop
+// runs on its own virtual clock, so the suite's timers and simulated
+// latencies cost no wall time.
 func TestSuiteUnderEveryScheduler(t *testing.T) {
 	seeds := []int64{1, 2, 3}
 	if testing.Short() {
@@ -31,7 +34,7 @@ func TestSuiteUnderEveryScheduler(t *testing.T) {
 				mk := schedulers(seed)[name]
 				for _, sc := range Suite() {
 					newLoop := func() *eventloop.Loop {
-						return eventloop.New(eventloop.Options{Scheduler: mk()})
+						return eventloop.New(eventloop.Options{Scheduler: mk(), Clock: vclock.NewVirtual()})
 					}
 					if err := sc.Run(newLoop, seed); err != nil {
 						t.Errorf("seed %d, %s: %v", seed, sc.Name, err)
@@ -42,6 +45,9 @@ func TestSuiteUnderEveryScheduler(t *testing.T) {
 	}
 }
 
+// TestRunAllReportsNoFailures runs the suite through RunAll on the wall
+// clock, as BenchmarkFidelity does and `fzbench -exp fidelity` does without
+// -virtual-time: the suite's one check of real-time timers and latencies.
 func TestRunAllReportsNoFailures(t *testing.T) {
 	newLoop := func() *eventloop.Loop { return eventloop.New(eventloop.Options{}) }
 	if errs := RunAll(newLoop, 42); len(errs) != 0 {

@@ -214,8 +214,10 @@ func Scan(path, owner string, record func(typ string, line []byte) (known bool, 
 	}
 	defer f.Close()
 
+	// The buffer starts at bufio's default size and grows to fit the
+	// longest line, up to 16 MiB.
 	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 16<<20)
+	sc.Buffer(nil, 16<<20)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"io"
 	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -121,5 +123,76 @@ func TestCloseReportsFullDisk(t *testing.T) {
 	}
 	if err := w.Close(); err == nil {
 		t.Fatal("Close on /dev/full returned nil")
+	}
+}
+
+// scanFile writes content to a journal file and scans it, collecting the
+// records of type "a" (any other type is unknown).
+func scanFile(t *testing.T, content string) (recs []rec, torn bool, err error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	torn, err = Scan(path, "test", func(typ string, line []byte) (bool, error) {
+		if typ != "a" {
+			return false, nil
+		}
+		var r rec
+		if err := json.Unmarshal(line, &r); err != nil {
+			return true, err
+		}
+		recs = append(recs, r)
+		return true, nil
+	})
+	return recs, torn, err
+}
+
+// TestScanLongRecord: a record far beyond bufio's default token size (a
+// long schedule) is read whole; the buffer grows to fit it.
+func TestScanLongRecord(t *testing.T) {
+	long := rec{Type: "a", N: 2, Tag: strings.Repeat("x", 2<<20)}
+	b, err := json.Marshal(long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, torn, err := scanFile(t, `{"type":"a","n":1}`+"\n"+string(b)+"\n"+`{"type":"a","n":3}`+"\n")
+	if err != nil || torn {
+		t.Fatalf("scan: torn %v, err %v", torn, err)
+	}
+	if len(recs) != 3 || recs[1] != long || recs[2].N != 3 {
+		t.Fatalf("got %d records; the long one intact: %v", len(recs), len(recs) > 1 && recs[1] == long)
+	}
+}
+
+// TestScanTornTail: a final line cut mid-record, as a killed writer leaves
+// it, is tolerated and reported as torn; the records before it load.
+func TestScanTornTail(t *testing.T) {
+	recs, torn, err := scanFile(t, `{"type":"a","n":1}`+"\n"+`{"type":"a","n":2}`+"\n"+`{"type":"a","n`)
+	if err != nil || !torn || len(recs) != 2 {
+		t.Fatalf("records %d, torn %v, err %v; want 2, true, nil", len(recs), torn, err)
+	}
+}
+
+// TestScanMalformedLineThenRecord: a malformed line with a record after it
+// is not a torn tail, and scanning fails rather than drop it silently.
+func TestScanMalformedLineThenRecord(t *testing.T) {
+	for name, bad := range map[string]string{
+		"unparsable":      `{"type":"a","n`,
+		"undecodable rec": `{"type":"a","n":"one"}`,
+	} {
+		_, _, err := scanFile(t, `{"type":"a","n":1}`+"\n"+bad+"\n"+`{"type":"a","n":3}`+"\n")
+		if err == nil || !strings.Contains(err.Error(), "line 3: records after a malformed line") {
+			t.Errorf("%s: err = %v, want a records-after-malformed-line error at line 3", name, err)
+		}
+	}
+}
+
+// TestScanUnknownType: a record type the reader does not know is an error
+// naming the line, never skipped.
+func TestScanUnknownType(t *testing.T) {
+	_, _, err := scanFile(t, `{"type":"a","n":1}`+"\n"+`{"type":"b","n":2}`+"\n")
+	if err == nil || !strings.Contains(err.Error(), `line 2: unknown record type "b"`) {
+		t.Fatalf("err = %v, want an unknown-record-type error at line 2", err)
 	}
 }

@@ -8,6 +8,7 @@ import "sync"
 type unit struct {
 	id      uint64 // creation index; deterministic under virtual time
 	kind    string // callback kind as recorded by the substrate ("timer", ...)
+	kid     int32  // kind's ID in the tracker's kind table
 	label   string // free-form detail ("detector", handle name, ...)
 	chain   int32  // chain of the greedy decomposition this unit belongs to
 	index   uint32 // 1-based position within its chain
@@ -66,12 +67,12 @@ type Tracker struct {
 	reports   []Report
 	maxRep    int
 	dedup     map[reportKey]bool
-	cov       *coverage
+	cov       coverage
 
 	// Recycling state: every unit and cell created during a trial is
 	// registered so Reset can return it to a freelist wholesale — an
 	// arena-reused trial allocates no units after its first run. Recycled
-	// units keep their vc backing arrays (join overwrites as it regrows).
+	// units keep their vc backing arrays (newUnit overwrites them).
 	allUnits    []*unit
 	freeUnits   []*unit
 	freeCells   []*cellState
@@ -105,7 +106,7 @@ func New() *Tracker {
 		dedup:     make(map[reportKey]bool),
 		cov:       newCoverage(),
 	}
-	root := &unit{id: 0, kind: "root", chain: 0, index: 1, vc: vclockT{1}}
+	root := &unit{id: 0, kind: "root", kid: t.cov.intern("root"), chain: 0, index: 1, vc: vclockT{1}}
 	t.allUnits = append(t.allUnits, root)
 	t.nextID = 1
 	t.chainTail = []*unit{root}
@@ -116,8 +117,10 @@ func New() *Tracker {
 // Reset re-arms the tracker for a new trial, equivalent to a fresh New():
 // a new root unit and empty shadow state, coverage, and reports. Backing
 // maps and slices are retained and cleared in place so a trial arena pays
-// no per-trial allocation for the tracker. Safe on a nil receiver. The caller must guarantee no unit is executing (no outstanding
-// Begin without its End) when Reset runs.
+// no per-trial allocation for the tracker. The interned kinds and the
+// rendered coverage strings are kept too: no digest depends on their IDs
+// or order. Safe on a nil receiver. The caller must guarantee no unit is
+// executing (no outstanding Begin without its End) when Reset runs.
 func (t *Tracker) Reset() {
 	if t == nil {
 		return
@@ -139,7 +142,7 @@ func (t *Tracker) Reset() {
 	clear(t.dedup)
 	t.cov.reset()
 	for i, u := range t.allUnits {
-		u.id, u.kind, u.label = 0, "", ""
+		u.id, u.kind, u.kid, u.label = 0, "", 0, ""
 		u.chain, u.index = 0, 0
 		u.vc = u.vc[:0]
 		u.parent, u.tainted = nil, false
@@ -148,7 +151,7 @@ func (t *Tracker) Reset() {
 	}
 	t.allUnits = t.allUnits[:0]
 	root := t.getUnit()
-	root.kind, root.index = "root", 1
+	root.kind, root.kid, root.index = "root", t.cov.intern("root"), 1
 	root.vc = append(root.vc, 1)
 	t.nextID = 1
 	t.chainTail = append(t.chainTail[:0], root)
@@ -214,7 +217,7 @@ func isTaintLabel(s string) bool { return s == "detector" || s == "watchdog" }
 // Caller holds t.mu.
 func (t *Tracker) newUnit(kind, label string, refs []Ref, extra *unit) *unit {
 	u := t.getUnit()
-	u.id, u.kind, u.label = t.nextID, kind, label
+	u.id, u.kind, u.kid, u.label = t.nextID, kind, t.cov.intern(kind), label
 	t.nextID++
 	preds := t.predScratch[:0]
 	for _, r := range refs {
@@ -234,17 +237,21 @@ func (t *Tracker) newUnit(kind, label string, refs []Ref, extra *unit) *unit {
 		// root so nothing floats free of the clock lattice.
 		preds = append(preds, t.stack[0])
 	}
-	for _, p := range preds {
-		u.vc = u.vc.join(p.vc)
+	// The first predecessor's clock is copied, the rest joined into it.
+	u.vc = append(u.vc, preds[0].vc...)
+	for i, p := range preds {
+		if i > 0 {
+			u.vc = u.vc.join(p.vc)
+		}
 		if p.tainted {
 			u.tainted = true
 		}
-		t.noteHBEdge(p.kind, kind)
+		t.noteHBEdge(p.kid, u.kid)
 	}
 	if len(t.stack) == 1 {
 		// Begin has not pushed yet: only the root below means this unit is a
 		// top-level callback — one element of the interleaving itself.
-		t.noteTopLevel(kind)
+		t.noteTopLevel(u.kid)
 	}
 	if isTaintLabel(label) || isTaintLabel(kind) {
 		u.tainted = true
@@ -320,7 +327,7 @@ func (t *Tracker) Sync(key string) {
 		if prev.tainted {
 			cur.tainted = true
 		}
-		t.noteHBEdge(prev.kind, cur.kind)
+		t.noteHBEdge(prev.kid, cur.kid)
 	}
 	t.lastSync[key] = cur
 }
