@@ -27,6 +27,7 @@ import (
 	"nodefz/internal/metrics"
 	"nodefz/internal/oracle"
 	"nodefz/internal/sched"
+	"nodefz/internal/simnet"
 	"nodefz/internal/vclock"
 )
 
@@ -286,6 +287,61 @@ func BenchmarkRecorder(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.Record("timer", "t")
+	}
+}
+
+// BenchmarkNetSend measures one warm simnet message on a virtual clock: a
+// Send, its delivery through the network engine, and the receiving
+// endpoint's OnData, whose handler sends the next message back. Deliveries,
+// loop events and the read callback are recycled or bound once per
+// connection, so an op allocates only the payload copy Send makes: 1
+// alloc/op.
+func BenchmarkNetSend(b *testing.B) {
+	const warm = 64
+	clk := vclock.NewVirtual()
+	l := eventloop.New(eventloop.Options{Clock: clk})
+	net := simnet.New(simnet.Config{Seed: 1, Clock: clk})
+	msg := []byte("ping")
+	sent := 0
+	var ln *simnet.Listener
+	echo := func(c *simnet.Conn) {
+		c.OnData(func([]byte) {
+			sent++
+			switch sent {
+			case warm:
+				b.ReportAllocs()
+				b.ResetTimer()
+			case warm + b.N:
+				b.StopTimer()
+				c.Close()
+				ln.Close(nil)
+				return
+			}
+			if err := c.Send(msg); err != nil {
+				b.Error(err)
+			}
+		})
+	}
+	ln, err := net.Listen(l, "echo", echo)
+	if err != nil {
+		b.Fatal(err)
+	}
+	net.Dial(l, "echo", func(c *simnet.Conn, err error) {
+		if err != nil {
+			b.Error(err)
+			return
+		}
+		echo(c)
+		if err := c.Send(msg); err != nil {
+			b.Error(err)
+		}
+	})
+	if err := l.Run(); err != nil {
+		b.Fatal(err)
+	}
+	net.Close()
+	if sent != warm+b.N {
+		b.Fatalf("sent %d messages, want %d", sent, warm+b.N)
 	}
 }
 

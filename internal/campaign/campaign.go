@@ -198,8 +198,7 @@ type Campaign struct {
 
 	mu            sync.Mutex
 	res           Result
-	completed     map[int]bool       // trial index -> done (resumed or fresh)
-	entries       map[int]TrialEntry // per-trial outcomes (resumed + fresh)
+	done          map[int]trialSummary // trial index -> outcome, resumed or fresh
 	armManifested []int
 	minimizeLeft  int
 	worlds        []*world // per-worker reusable trial worlds, across slices
@@ -258,8 +257,7 @@ func New(cfg Config) (*Campaign, error) {
 		run:           run,
 		corpus:        NewCorpus(cfg.NoveltyThreshold, cfg.CorpusCapacity, cfg.ScheduleTruncate),
 		bandit:        NewUCB(len(arms), cfg.BaseSeed),
-		completed:     make(map[int]bool),
-		entries:       make(map[int]TrialEntry),
+		done:          make(map[int]trialSummary),
 		armManifested: make([]int, len(arms)),
 		minimizeLeft:  cfg.MinimizeTrials,
 	}
@@ -287,8 +285,7 @@ func New(cfg Config) (*Campaign, error) {
 		for _, e := range replay {
 			c.corpus.MarkSeen(e.Digest)
 			c.bandit.Replay(e.Arm, e.Reward)
-			c.completed[e.Trial] = true
-			c.entries[e.Trial] = e
+			c.done[e.Trial] = summarize(e)
 			if e.Manifested {
 				c.res.Manifested++
 				if e.Arm >= 0 && e.Arm < len(c.armManifested) {
@@ -310,8 +307,8 @@ func New(cfg Config) (*Campaign, error) {
 		for _, e := range st.Coverage {
 			c.corpus.SeedCoverage(e.Pairs, e.HBDigest, e.Tuples)
 		}
-		c.res.Resumed = len(c.completed)
-		c.res.Done = len(c.completed)
+		c.res.Resumed = len(c.done)
+		c.res.Done = len(c.done)
 	}
 
 	if cfg.CheckpointPath != "" {
@@ -401,7 +398,7 @@ func (c *Campaign) RunRange(from, to int) SliceReport {
 	c.mu.Lock()
 	pending := make([]int, 0, to-from)
 	for i := from; i < to; i++ {
-		if !c.completed[i] {
+		if _, ok := c.done[i]; !ok {
 			pending = append(pending, i)
 		}
 	}
@@ -429,21 +426,21 @@ func (c *Campaign) RunRange(from, to int) SliceReport {
 
 	c.mu.Lock()
 	for i := from; i < to; i++ {
-		e, ok := c.entries[i]
+		e, ok := c.done[i]
 		if !ok {
 			continue
 		}
 		rep.Done++
-		if e.Admitted {
+		if e.admitted {
 			rep.Admitted++
 		}
-		if e.Violations > 0 {
+		if e.violating {
 			rep.Violating++
 		}
-		if e.NewCoverage > 0 {
+		if e.newCoverage {
 			rep.NewCov++
 		}
-		if e.Manifested {
+		if e.manifested {
 			rep.Manifested++
 		}
 	}
@@ -657,8 +654,7 @@ func (c *Campaign) runTrial(i int, w *world) trialStatus {
 	if minEntry != nil {
 		c.res.Minimized = append(c.res.Minimized, *minEntry)
 	}
-	c.completed[i] = true
-	c.entries[i] = entry
+	c.done[i] = summarize(entry)
 	doneCount := c.res.Done
 	c.mu.Unlock()
 
@@ -684,7 +680,7 @@ func (c *Campaign) writeCheckpoint() {
 		Type:       "checkpoint",
 		Trials:     c.cfg.Trials,
 		Done:       c.res.Done,
-		Watermark:  watermarkOf(c.completed),
+		Watermark:  watermarkOf(c.done),
 		Manifested: c.res.Manifested,
 		CorpusLen:  c.corpus.Len(),
 		Arms:       c.bandit.Stats(),
@@ -703,7 +699,7 @@ func (c *Campaign) Snapshot() Result {
 	res := c.res
 	res.Arms = nil // rebuilt below; the shared slice must not escape
 	res.Minimized = append([]MinimizedEntry(nil), c.res.Minimized...)
-	res.Watermark = watermarkOf(c.completed)
+	res.Watermark = watermarkOf(c.done)
 	c.mu.Unlock()
 	res.CorpusLen = c.corpus.Len()
 	if c.cfg.Coverage {
@@ -763,10 +759,28 @@ func b2f(v bool) float64 {
 }
 
 // watermarkOf computes the contiguous completed prefix of the done-set.
-func watermarkOf(done map[int]bool) int {
+func watermarkOf(done map[int]trialSummary) int {
 	w := 0
-	for done[w] {
+	for {
+		if _, ok := done[w]; !ok {
+			return w
+		}
 		w++
 	}
-	return w
+}
+
+// trialSummary is what a campaign keeps of a completed trial: the outcomes
+// a SliceReport counts. The rest of its TrialEntry, the admitted schedule
+// above all, lives only in the journal.
+type trialSummary struct {
+	admitted, manifested, violating, newCoverage bool
+}
+
+func summarize(e TrialEntry) trialSummary {
+	return trialSummary{
+		admitted:    e.Admitted,
+		manifested:  e.Manifested,
+		violating:   e.Violations > 0,
+		newCoverage: e.NewCoverage > 0,
+	}
 }

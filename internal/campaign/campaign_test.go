@@ -167,6 +167,46 @@ func TestCampaignResumeAfterKillTornJournal(t *testing.T) {
 	}
 }
 
+// TestLoadJournalValidatesSkippedRecords: checkpoint records are skipped on
+// load, but a malformed one is still a torn tail at the end of the journal
+// and an error anywhere before it.
+func TestLoadJournalValidatesSkippedRecords(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
+	if _, err := Run(Config{App: newFakeApp(nil, nil), Trials: 4, Workers: 1, BaseSeed: 7,
+		CheckpointPath: path, MinimizeTrials: -1}); err != nil {
+		t.Fatal(err)
+	}
+	clean, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := clean[:bytes.IndexByte(clean, '\n')+1] // the journal's first record
+	for _, tc := range []struct {
+		name, tail string
+		torn       bool
+		errSubstr  string
+	}{
+		{"torn checkpoint at the tail", `{"type":"checkpoint","trials":4,"do`, true, ""},
+		{"malformed checkpoint then a record", `{"type":"checkpoint","done":}` + "\n" + string(first),
+			false, "records after a malformed line"},
+	} {
+		if err := os.WriteFile(path, append(append([]byte(nil), clean...), tc.tail...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := LoadJournal(path)
+		switch {
+		case tc.errSubstr != "":
+			if err == nil || !strings.Contains(err.Error(), tc.errSubstr) {
+				t.Errorf("%s: err = %v, want %q", tc.name, err, tc.errSubstr)
+			}
+		case err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case st.TornTail != tc.torn || len(st.Trials) != 4:
+			t.Errorf("%s: TornTail=%v trials=%d, want %v and 4", tc.name, st.TornTail, len(st.Trials), tc.torn)
+		}
+	}
+}
+
 func TestCampaignBudgetStopsAndResumes(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
 	app := newFakeApp(nil, nil)

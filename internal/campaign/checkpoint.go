@@ -160,6 +160,7 @@ func LoadJournal(path string) (*JournalState, error) {
 			st.Coverage = append(st.Coverage, e)
 		case "checkpoint":
 			// Summaries are derivable from the trial records; skip.
+			return true, jsonl.Validate(line)
 		default:
 			return false, nil
 		}

@@ -1,12 +1,12 @@
 package repkv
 
 import (
-	"sync"
 	"time"
 
 	"nodefz/internal/cluster"
 	"nodefz/internal/eventloop"
 	"nodefz/internal/simnet"
+	"nodefz/internal/vclock"
 )
 
 // Client is a minimal repkv client for the trial's control loop: one
@@ -20,7 +20,7 @@ type Client struct {
 	n     int
 	retry time.Duration
 
-	mu         sync.Mutex
+	mu         vclock.Mutex // bound to the loop's clock
 	closed     bool
 	conns      []*simnet.Conn
 	acked      map[int]bool
@@ -41,6 +41,7 @@ func NewClient(l *eventloop.Loop, net *simnet.Network, nodes int, retry time.Dur
 		keyOf:      make(map[int]string),
 		ackedByKey: make(map[string]int),
 	}
+	c.mu.Bind(l.Clock())
 	for i := 0; i < nodes; i++ {
 		i := i
 		net.Dial(l, cluster.Addr(i), func(conn *simnet.Conn, err error) {

@@ -45,7 +45,7 @@ import (
 	"nodefz/internal/cluster"
 	"nodefz/internal/eventloop"
 	"nodefz/internal/simnet"
-	"sync"
+	"nodefz/internal/vclock"
 )
 
 // Tag event names passed to Config.Tag, the shadow-state tagging hook the
@@ -118,7 +118,7 @@ type Replica struct {
 	loop *eventloop.Loop
 	env  *cluster.Env
 
-	mu      sync.Mutex
+	mu      vclock.Mutex // bound to the node loop's clock
 	view    int
 	status  string // "normal", "viewchange", "recovering"
 	log     []entry
@@ -155,6 +155,7 @@ func Boot(env *cluster.Env, cfg Config) (*Replica, error) {
 		clientFor: make(map[int]*simnet.Conn),
 		acked:     make(map[int]bool),
 	}
+	r.mu.Bind(env.Loop.Clock())
 	r.recover()
 	ln, err := cfg.Net.Listen(env.Loop, env.Addr, func(c *simnet.Conn) { r.accept(c) })
 	if err != nil {

@@ -4,10 +4,10 @@ import (
 	"math/rand"
 
 	"nodefz/internal/frand"
-	"sync"
 	"time"
 
 	"nodefz/internal/eventloop"
+	"nodefz/internal/vclock"
 )
 
 // Scheduler is the Node.fz fuzzing scheduler. It implements
@@ -29,7 +29,7 @@ type Scheduler struct {
 	params Params
 	name   string
 
-	mu  sync.Mutex
+	mu  vclock.Mutex // bound to the loops' clock (BindClock)
 	rng *rand.Rand
 
 	dec decisions // lock-free decision counters, read via Decisions
@@ -83,6 +83,11 @@ func (s *Scheduler) Reseed(params Params, seed int64) {
 	s.mu.Unlock()
 	s.dec.reset()
 }
+
+// BindClock binds the scheduler's lock to clk, the clock of the loops it
+// serves; eventloop.New calls it. Under a virtual clock every hook runs on
+// the goroutine driving the clock, and the scheduler takes no lock.
+func (s *Scheduler) BindClock(clk vclock.Clock) { s.mu.Bind(clk) }
 
 // Params returns the scheduler's parameterization.
 func (s *Scheduler) Params() Params { return s.params }

@@ -3,10 +3,10 @@ package core
 import (
 	"encoding/json"
 	"io"
-	"sync"
 	"time"
 
 	"nodefz/internal/eventloop"
+	"nodefz/internal/vclock"
 )
 
 // Trace is a recording of every decision a scheduler made during a run,
@@ -158,7 +158,7 @@ func DecodeTrace(r io.Reader) (*Trace, error) {
 type RecordingScheduler struct {
 	inner eventloop.Scheduler
 
-	mu     sync.Mutex
+	mu     vclock.Mutex // bound to the loops' clock (BindClock)
 	trace  Trace
 	intBuf []int // backing store for ShuffleDecision RunOrder/Deferred views
 }
@@ -168,6 +168,20 @@ var _ eventloop.Scheduler = (*RecordingScheduler)(nil)
 // NewRecording wraps inner.
 func NewRecording(inner eventloop.Scheduler) *RecordingScheduler {
 	return &RecordingScheduler{inner: inner}
+}
+
+// BindClock binds the recorder's lock, and the wrapped scheduler's, to clk
+// (see Scheduler.BindClock).
+func (r *RecordingScheduler) BindClock(clk vclock.Clock) {
+	r.mu.Bind(clk)
+	bindClock(r.inner, clk)
+}
+
+// bindClock binds s to clk if s has locks to bind.
+func bindClock(s eventloop.Scheduler, clk vclock.Clock) {
+	if b, ok := s.(interface{ BindClock(vclock.Clock) }); ok {
+		b.BindClock(clk)
+	}
 }
 
 // Inner returns the wrapped scheduler — the handle a reusing caller needs
@@ -283,7 +297,7 @@ func (r *RecordingScheduler) PickTask(n int) int {
 type ReplayScheduler struct {
 	base eventloop.Scheduler
 
-	mu    sync.Mutex
+	mu    vclock.Mutex // bound to the loops' clock (BindClock)
 	trace *Trace
 	ti    int // next Timers index
 	si    int // next Shuffle index
@@ -300,6 +314,13 @@ var _ eventloop.Scheduler = (*ReplayScheduler)(nil)
 // from, with any seed).
 func NewReplay(trace *Trace, base eventloop.Scheduler) *ReplayScheduler {
 	return &ReplayScheduler{base: base, trace: trace}
+}
+
+// BindClock binds the replayer's lock, and the base scheduler's, to clk
+// (see Scheduler.BindClock).
+func (r *ReplayScheduler) BindClock(clk vclock.Clock) {
+	r.mu.Bind(clk)
+	bindClock(r.base, clk)
 }
 
 // Misses reports how many hook calls could not be served from the trace.

@@ -2,13 +2,16 @@ package eventloop
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 )
 
 // FuzzLegality throws random event batches and random scheduler shuffle
 // decisions at the legality pass and asserts the §4.2.1 invariant: whatever
 // the scheduler proposes, per-source FIFO order survives, and no event is
-// lost or duplicated.
+// lost or duplicated. The pass must also return exactly what the reference
+// model refPerSourceOrder returns, since schedules must not move.
 func FuzzLegality(f *testing.F) {
 	f.Add(int64(1), uint8(3), []byte{0, 1, 0, 2, 1, 0})
 	f.Add(int64(42), uint8(1), []byte{0, 0, 0, 0})
@@ -50,7 +53,11 @@ func FuzzLegality(f *testing.F) {
 			}
 		}
 
+		wantRun, wantDeferred := refPerSourceOrder(ready, slices.Clone(run), slices.Clone(deferred))
 		gotRun, gotDeferred := enforcePerSourceOrder(ready, run, deferred)
+		if !slices.Equal(gotRun, wantRun) || !slices.Equal(gotDeferred, wantDeferred) {
+			t.Fatalf("legality pass differs from the reference model")
+		}
 
 		// No event lost or duplicated.
 		seen := make(map[*Event]bool, len(ready))
@@ -114,4 +121,55 @@ func FuzzLegality(f *testing.F) {
 			}
 		}
 	})
+}
+
+// refPerSourceOrder is the legality pass as a map-based model: the three
+// steps of enforcePerSourceOrder, spelled out with arrival positions,
+// per-source deferral minima and per-source slot lists in maps.
+func refPerSourceOrder(ready, run, deferred []*Event) ([]*Event, []*Event) {
+	pos := make(map[*Event]int, len(ready))
+	count := make(map[*Source]int)
+	multi := false
+	for i, e := range ready {
+		pos[e] = i
+		if e.src != nil {
+			count[e.src]++
+			multi = multi || count[e.src] > 1
+		}
+	}
+	if !multi {
+		return run, deferred
+	}
+	deferredMin := make(map[*Source]int)
+	for _, e := range deferred {
+		if m, ok := deferredMin[e.src]; e.src != nil && (!ok || pos[e] < m) {
+			deferredMin[e.src] = pos[e]
+		}
+	}
+	var keep []*Event
+	for _, e := range run {
+		if m, ok := deferredMin[e.src]; e.src != nil && ok && pos[e] > m {
+			deferred = append(deferred, e)
+			continue
+		}
+		keep = append(keep, e)
+	}
+	bySrc := make(map[*Source][]int)
+	for i, e := range keep {
+		if e.src != nil {
+			bySrc[e.src] = append(bySrc[e.src], i)
+		}
+	}
+	for _, slots := range bySrc {
+		evs := make([]*Event, len(slots))
+		for j, slot := range slots {
+			evs[j] = keep[slot]
+		}
+		sort.Slice(evs, func(a, b int) bool { return pos[evs[a]] < pos[evs[b]] })
+		for j, slot := range slots {
+			keep[slot] = evs[j]
+		}
+	}
+	sort.SliceStable(deferred, func(a, b int) bool { return pos[deferred[a]] < pos[deferred[b]] })
+	return keep, deferred
 }

@@ -1,7 +1,5 @@
 package eventloop
 
-import "sort"
-
 // enforcePerSourceOrder is the loop's legality pass over the scheduler's
 // shuffle decision (§4.4 "Node.fz Fidelity"). Fuzzing may freely reorder
 // events *across* sources — that models input arriving earlier or later —
@@ -16,11 +14,11 @@ import "sort"
 //     FIFO per source across iterations.
 //
 // Events without a source (plain posts, worker-pool completions) are
-// unconstrained.
+// unconstrained. Ready batches are small, so every step scans instead of
+// building maps, and the run list is filtered in place: the pass allocates
+// nothing unless the deferred list outgrows its buffer.
 func enforcePerSourceOrder(ready, run, deferred []*Event) ([]*Event, []*Event) {
-	// Fast path: detect a source with two ready events by pairwise scan —
-	// ready batches are small, and skipping the map builds keeps the common
-	// single-event-per-source poll allocation-free.
+	// Fast path: detect a source with two ready events by pairwise scan.
 	multi := false
 outer:
 	for i, e := range ready {
@@ -39,57 +37,59 @@ outer:
 		// beyond what the scheduler already returned.
 		return run, deferred
 	}
-	pos := make(map[*Event]int, len(ready))
 	for i, e := range ready {
-		pos[e] = i
+		e.pos = i
 	}
 
-	// Step 1: earliest deferred position per source.
-	deferredMin := make(map[*Source]int)
-	for _, e := range deferred {
-		if e.src == nil {
-			continue
-		}
-		if m, ok := deferredMin[e.src]; !ok || pos[e] < m {
-			deferredMin[e.src] = pos[e]
-		}
-	}
-	keep := make([]*Event, 0, len(run))
+	// Step 1: a run event that arrived after one of the scheduler's
+	// deferrals from its source is deferred too.
+	held := deferred
+	keep := run[:0]
 	for _, e := range run {
-		if e.src != nil {
-			if m, ok := deferredMin[e.src]; ok && pos[e] > m {
-				deferred = append(deferred, e)
-				continue
-			}
+		if e.src != nil && arrivedAfterSibling(e, held) {
+			deferred = append(deferred, e)
+			continue
 		}
 		keep = append(keep, e)
 	}
 
-	// Step 2: per-source stable reorder within the kept slots.
-	bySrc := make(map[*Source][]int)
+	// Step 2: per-source stable reorder within the kept slots. Each slot
+	// takes the earliest-arrived event of its source among the slots from
+	// it onwards; swaps stay within one source, so every source keeps its
+	// slots.
 	for i, e := range keep {
-		if e.src != nil {
-			bySrc[e.src] = append(bySrc[e.src], i)
-		}
-	}
-	for _, slots := range bySrc {
-		if len(slots) < 2 {
+		if e.src == nil {
 			continue
 		}
-		evs := make([]*Event, len(slots))
-		for j, slot := range slots {
-			evs[j] = keep[slot]
+		first := i
+		for j := i + 1; j < len(keep); j++ {
+			if keep[j].src == e.src && keep[j].pos < keep[first].pos {
+				first = j
+			}
 		}
-		sort.Slice(evs, func(a, b int) bool { return pos[evs[a]] < pos[evs[b]] })
-		for j, slot := range slots {
-			keep[slot] = evs[j]
-		}
+		keep[i], keep[first] = keep[first], keep[i]
 	}
 
-	// Step 3: FIFO among deferred events. A list of fewer than two needs no
-	// sort, and skipping it spares boxing the slice for sort's interface.
-	if len(deferred) > 1 {
-		sort.SliceStable(deferred, func(a, b int) bool { return pos[deferred[a]] < pos[deferred[b]] })
+	// Step 3: FIFO among deferred events (arrival positions are distinct,
+	// so an insertion sort is a stable sort).
+	for i := 1; i < len(deferred); i++ {
+		e := deferred[i]
+		j := i
+		for ; j > 0 && deferred[j-1].pos > e.pos; j-- {
+			deferred[j] = deferred[j-1]
+		}
+		deferred[j] = e
 	}
 	return keep, deferred
+}
+
+// arrivedAfterSibling reports whether some event of held shares e's source
+// and arrived before e.
+func arrivedAfterSibling(e *Event, held []*Event) bool {
+	for _, f := range held {
+		if f.src == e.src && f.pos < e.pos {
+			return true
+		}
+	}
+	return false
 }

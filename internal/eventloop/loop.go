@@ -106,7 +106,9 @@ type Loop struct {
 	clk   vclock.Clock
 	probe *oracle.Tracker
 
-	mu sync.Mutex
+	// mu guards the state other goroutines reach under wall time; it is
+	// bound to the loop's clock, so a virtual trial takes no lock.
+	mu vclock.Mutex
 	// proc is the loop as a clock participant; its step is step. Only a
 	// notify posted while the loop is inside poll's wait carries a run
 	// grant (see wakeup).
@@ -127,11 +129,17 @@ type Loop struct {
 	srcFree []*Source
 
 	// Loop-goroutine-only state (no locking needed).
-	timers       timerHeap
-	timerSeq     uint64
+	timers   timerHeap
+	timerSeq uint64
+	// tmAll holds every timer the current trial created; Reset retires them
+	// to tmFree. An app may Stop a timer that has fired, so none is reused
+	// before Reset.
+	tmAll        []*Timer
+	tmFree       []*Timer
 	ticks        []tickFn
 	immediates   []*immediateReq
 	closing      []*closeReq
+	closeSpare   []*closeReq // runClosing's second buffer, swapped with closing
 	running      bool
 	dueScratch   []*Timer // runTimers batch
 	readyScratch []*Event // poll batch
@@ -191,10 +199,12 @@ type immediateReq struct {
 	oref oracle.Ref
 }
 
+// closeReq is a closed source's close callback (fn, may be nil), waiting
+// for the close phase.
 type closeReq struct {
-	label string
-	fn    func()
-	oref  oracle.Ref
+	src  *Source
+	fn   func()
+	oref oracle.Ref
 }
 
 type nopLocker struct{}
@@ -220,6 +230,15 @@ func New(opts Options) *Loop {
 		probe: opts.Probe,
 		reg:   opts.Metrics,
 	}
+	l.mu.Bind(l.clk)
+	// The scheduler, recorder and oracle meet their clock here.
+	if b, ok := l.sched.(clockBinder); ok {
+		b.BindClock(l.clk)
+	}
+	if b, ok := l.rec.(clockBinder); ok {
+		b.BindClock(l.clk)
+	}
+	l.probe.BindClock(l.clk)
 	l.runScratch, l.defScratch = l.runInline[:0], l.defInline[:0]
 	l.proc.Init(l.clk, 0, l.step)
 	if l.reg != nil {
@@ -236,8 +255,10 @@ func New(opts Options) *Loop {
 	size, workLock := 4, sync.Locker(nil)
 	l.runLock = nopLocker{}
 	if serialize {
-		l.runLock = &sync.Mutex{}
-		size, workLock = 1, l.runLock
+		rl := new(vclock.Mutex)
+		rl.Bind(l.clk)
+		l.runLock = rl
+		size, workLock = 1, rl
 	}
 	l.pool = pool.New(pool.Config{
 		Size:    size,
@@ -248,12 +269,18 @@ func New(opts Options) *Loop {
 		Clock:   l.clk,
 		Probe:   opts.Probe,
 		Post: func(kind, label string, ref oracle.Ref, cb func()) {
-			l.postEvent(kind, label, cb, nil, ref)
+			l.postEvent(kind, label, nil, ref, cb, nil, nil)
 		},
 		Record:     l.rec.Record,
 		TimeInPoll: l.timeInPoll,
 	})
 	return l
+}
+
+// clockBinder is a collaborator whose locks follow the clock of the loops
+// it serves (vclock.Mutex.Bind): core's schedulers and sched.Recorder.
+type clockBinder interface {
+	BindClock(vclock.Clock)
 }
 
 // Scheduler returns the loop's scheduler.
@@ -423,16 +450,15 @@ func (l *Loop) endPhase() {
 // matching the clock entry New performed).
 func (l *Loop) Reset() {
 	l.mu.Lock()
-	clear(l.pending)
-	l.pending = l.pending[:0]
-	clear(l.deferred)
-	l.deferred = l.deferred[:0]
+	// Events and close requests a stopped trial left queued go back to
+	// their freelists.
+	l.evFree = retire(l.evFree, &l.pending)
+	l.evFree = retire(l.evFree, &l.deferred)
+	l.crFree = retire(l.crFree, &l.closing)
 	clear(l.ticks)
 	l.ticks = l.ticks[:0]
 	clear(l.immediates)
 	l.immediates = l.immediates[:0]
-	clear(l.closing)
-	l.closing = l.closing[:0]
 	for i, s := range l.srcAll {
 		s.name = ""
 		s.closed = false
@@ -450,6 +476,7 @@ func (l *Loop) Reset() {
 	clear(l.timers)
 	l.timers = l.timers[:0]
 	l.timerSeq = 0
+	l.tmFree = retire(l.tmFree, &l.tmAll)
 	l.running = false
 	clear(l.atExit)
 	l.atExit = l.atExit[:0]
@@ -458,6 +485,19 @@ func (l *Loop) Reset() {
 	l.pollStart.Store(0)
 	l.depth.Store(0)
 	l.pool.Reset()
+}
+
+// retire zeroes every element of *queue and appends it to free, emptying
+// *queue in place, and returns the grown free.
+func retire[T any](free []*T, queue *[]*T) []*T {
+	for i, x := range *queue {
+		var zero T
+		*x = zero
+		free = append(free, x)
+		(*queue)[i] = nil
+	}
+	*queue = (*queue)[:0]
+	return free
 }
 
 // RestartPool re-arms the worker pool of a Reset loop, respawning the
@@ -569,18 +609,16 @@ func (l *Loop) recycleEvents(evs []*Event) {
 		return
 	}
 	l.mu.Lock()
-	for _, ev := range evs {
-		ev.Kind, ev.Label, ev.CB, ev.src, ev.oref = "", "", nil, nil, oracle.Ref{}
-		l.evFree = append(l.evFree, ev)
-	}
+	l.evFree = retire(l.evFree, &evs)
 	l.mu.Unlock()
 }
 
-// postEvent queues one ready event, drawing it from the freelist.
-func (l *Loop) postEvent(kind, label string, cb func(), src *Source, ref oracle.Ref) {
+// postEvent queues one ready event, drawing it from the freelist: cb runs
+// it, or, for a payload event, onData(data).
+func (l *Loop) postEvent(kind, label string, src *Source, ref oracle.Ref, cb func(), onData func([]byte), data []byte) {
 	l.mu.Lock()
 	ev := l.getEventLocked()
-	ev.Kind, ev.Label, ev.CB, ev.src, ev.oref = kind, label, cb, src, ref
+	ev.Kind, ev.Label, ev.CB, ev.onData, ev.data, ev.src, ev.oref = kind, label, cb, onData, data, src, ref
 	l.pending = append(l.pending, ev)
 	l.mu.Unlock()
 	l.wakeup()
@@ -603,6 +641,14 @@ func (l *Loop) executeUnit(kind, label string, ref oracle.Ref, key any, cb func(
 // predecessors are ref, xref and, for a non-nil key, the key's previous unit.
 // It does not drain ticks, so a tick that queues ticks cannot recurse.
 func (l *Loop) runUnit(phase int, kind, label string, key any, ref, xref oracle.Ref, cb func()) oracle.Ref {
+	tok := l.beginUnit(phase, kind, label, key, ref, xref)
+	cb()
+	return l.endUnit(tok)
+}
+
+// beginUnit and endUnit are runUnit's halves, for a caller whose callback
+// is not a func(): a payload event, or a close request.
+func (l *Loop) beginUnit(phase int, kind, label string, key any, ref, xref oracle.Ref) oracle.Token {
 	l.stats.Callbacks++
 	l.phaseCB[phase].Inc()
 	l.runLock.Lock()
@@ -614,7 +660,10 @@ func (l *Loop) runUnit(phase int, kind, label string, key any, ref, xref oracle.
 	if l.probe != nil {
 		tok = l.probe.BeginKeyed(kind, label, key, ref, xref)
 	}
-	cb()
+	return tok
+}
+
+func (l *Loop) endUnit(tok oracle.Token) oracle.Ref {
 	if l.probe != nil {
 		l.probe.End(tok)
 	}
@@ -669,7 +718,16 @@ func (l *Loop) addTimer(d, period time.Duration, label string, cb func()) *Timer
 		d = 0
 	}
 	l.timerSeq++
-	t := &Timer{
+	var t *Timer
+	if n := len(l.tmFree); n > 0 {
+		t = l.tmFree[n-1]
+		l.tmFree[n-1] = nil
+		l.tmFree = l.tmFree[:n-1]
+	} else {
+		t = new(Timer)
+	}
+	l.tmAll = append(l.tmAll, t)
+	*t = Timer{
 		loop:     l,
 		cb:       cb,
 		deadline: l.clk.Now().Add(d),
@@ -800,12 +858,12 @@ func (l *Loop) poll() {
 	}
 
 	run, deferred := l.sched.ShuffleReady(ready, l.runScratch[:0], l.defScratch[:0])
-	l.runScratch, l.defScratch = run[:0], deferred[:0]
 	if len(run)+len(deferred) != len(ready) {
 		panic(fmt.Sprintf("eventloop: scheduler %s lost events: %d+%d != %d",
 			l.sched.Name(), len(run), len(deferred), len(ready)))
 	}
 	run, deferred = enforcePerSourceOrder(ready, run, deferred)
+	l.runScratch, l.defScratch = run[:0], deferred[:0]
 	if len(deferred) > 0 {
 		l.mu.Lock()
 		l.deferred = append(l.deferred, deferred...)
@@ -828,7 +886,14 @@ func (l *Loop) poll() {
 		if ev.src != nil {
 			key = ev.src
 		}
-		l.executeUnit(ev.Kind, ev.Label, ev.oref, key, ev.CB)
+		tok := l.beginUnit(l.curPhase, ev.Kind, ev.Label, key, ev.oref, oracle.Ref{})
+		if ev.onData != nil {
+			ev.onData(ev.data)
+		} else {
+			ev.CB()
+		}
+		l.endUnit(tok)
+		l.drainTicks()
 		done++
 		if l.isStopped() {
 			break
@@ -960,7 +1025,9 @@ func (l *Loop) runImmediates() {
 
 // --- close phase ---------------------------------------------------------
 
-func (l *Loop) queueClose(label string, cb func()) {
+// queueClose files s's close request: cb (may be nil) runs in a close
+// phase, and then s's loop reference is dropped.
+func (l *Loop) queueClose(s *Source, cb func()) {
 	l.mu.Lock()
 	var cr *closeReq
 	if n := len(l.crFree); n > 0 {
@@ -970,40 +1037,50 @@ func (l *Loop) queueClose(label string, cb func()) {
 	} else {
 		cr = &closeReq{}
 	}
-	cr.label, cr.fn, cr.oref = label, cb, l.oracleRef()
+	cr.src, cr.fn, cr.oref = s, cb, l.oracleRef()
 	l.closing = append(l.closing, cr)
 	l.refs++
 	l.mu.Unlock()
 	l.wakeup()
 }
 
+// runClosing runs the close requests queued before the phase began. The
+// batch and the requests its callbacks queue live in two buffers that swap
+// roles each phase; deferred requests stay at the front, ahead of the new
+// ones.
 func (l *Loop) runClosing() {
 	if l.isStopped() {
 		return
 	}
 	l.mu.Lock()
 	batch := l.closing
-	l.closing = nil
+	l.closing = l.closeSpare[:0]
 	l.mu.Unlock()
-	var kept []*closeReq
-	for i, cr := range batch {
-		if l.sched.DeferClose(cr.label) {
-			kept = append(kept, batch[i])
+	kept := batch[:0]
+	for _, cr := range batch {
+		label := cr.src.name
+		if l.sched.DeferClose(label) {
+			kept = append(kept, cr)
 			l.stats.ClosesDeferred++
 			continue
 		}
-		l.executeUnit(KindClose, cr.label, cr.oref, nil, cr.fn)
+		tok := l.beginUnit(l.curPhase, KindClose, label, nil, cr.oref, oracle.Ref{})
+		if cr.fn != nil {
+			cr.fn()
+		}
+		l.unref() // the source's own reference
+		l.endUnit(tok)
+		l.drainTicks()
 		l.unref()
-		cr.label, cr.fn, cr.oref = "", nil, oracle.Ref{}
+		*cr = closeReq{}
 		l.mu.Lock()
 		l.crFree = append(l.crFree, cr)
 		l.mu.Unlock()
 	}
-	if len(kept) > 0 {
-		l.mu.Lock()
-		l.closing = append(kept, l.closing...)
-		l.mu.Unlock()
-	}
+	l.mu.Lock()
+	queued := l.closing
+	l.closing, l.closeSpare = append(kept, queued...), queued[:0]
+	l.mu.Unlock()
 }
 
 // --- worker pool ---------------------------------------------------------

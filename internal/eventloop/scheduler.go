@@ -17,14 +17,20 @@ type Event struct {
 	Kind string
 	// Label is free-form detail, e.g. the connection or task name.
 	Label string
-	// CB is the application callback. It runs on the loop goroutine.
+	// CB is the application callback. It runs on the loop goroutine. A
+	// payload event (Source.PostData) has none: the loop runs onData(data).
 	CB func()
 
-	src *Source
+	onData func([]byte)
+	data   []byte
+	src    *Source
 	// oref is the oracle unit that caused this event (the sender of a
 	// network message, the submitter of a pool task); zero when the oracle
 	// is off or the producer is external.
 	oref oracle.Ref
+	// pos is the event's place in the ready batch, set by the legality
+	// pass when it has to enforce per-source order.
+	pos int
 }
 
 // Scheduler decides which pending events to handle and in what order

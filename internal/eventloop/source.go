@@ -1,9 +1,8 @@
 package eventloop
 
 import (
-	"sync"
-
 	"nodefz/internal/oracle"
+	"nodefz/internal/vclock"
 )
 
 // Source is a pollable event source bound to a loop: the analogue of a file
@@ -19,7 +18,7 @@ type Source struct {
 	loop *Loop
 	name string
 
-	mu     sync.Mutex
+	mu     vclock.Mutex // bound to the loop's clock
 	closed bool
 }
 
@@ -39,6 +38,7 @@ func (l *Loop) NewSource(name string) *Source {
 		s.name = name
 	} else {
 		s = &Source{loop: l, name: name}
+		s.mu.Bind(l.clk)
 	}
 	l.srcAll = append(l.srcAll, s)
 	l.mu.Unlock()
@@ -58,13 +58,19 @@ func (s *Source) Post(kind, label string, cb func()) {
 // sender of the message being delivered), captured loop-side by the
 // substrate at send time. Safe from any goroutine.
 func (s *Source) PostRef(kind, label string, ref oracle.Ref, cb func()) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
+	if !s.isClosed() {
+		s.loop.postEvent(kind, label, s, ref, cb, nil, nil)
 	}
-	s.mu.Unlock()
-	s.loop.postEvent(kind, label, cb, s, ref)
+}
+
+// PostData is PostRef for an event that carries a payload: the loop runs
+// fn(data). A substrate binds fn once per source (a connection's read
+// handler, say), so posting a message allocates no closure. Safe from any
+// goroutine.
+func (s *Source) PostData(kind, label string, ref oracle.Ref, fn func([]byte), data []byte) {
+	if !s.isClosed() {
+		s.loop.postEvent(kind, label, s, ref, nil, fn, data)
+	}
 }
 
 // isClosed reports whether the source has been closed; closed sources'
@@ -88,10 +94,5 @@ func (s *Source) Close(cb func()) {
 	}
 	s.closed = true
 	s.mu.Unlock()
-	s.loop.queueClose(s.name, func() {
-		if cb != nil {
-			cb()
-		}
-		s.loop.unref()
-	})
+	s.loop.queueClose(s, cb)
 }

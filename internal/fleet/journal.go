@@ -109,6 +109,7 @@ func loadJournal(path string) (*journalState, error) {
 			st.Slices = append(st.Slices, rec)
 		case "fleet-checkpoint":
 			// Summaries are derivable from the slice records; skip.
+			return true, jsonl.Validate(line)
 		default:
 			return false, nil
 		}

@@ -10,6 +10,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -204,6 +205,11 @@ func truncateTornTail(path string) error {
 // line that fails to parse is taken for the torn final line a killed writer
 // leaves behind (torn is then true); a malformed line with records after
 // it, or a record of unknown type, is an error, prefixed with owner.
+//
+// The type of a line that begins the way this package's writers begin a
+// record, {"type":"…", is read from that prefix without parsing the line,
+// so record must decode every line it knows, or Validate it, and report a
+// failure as err.
 func Scan(path, owner string, record func(typ string, line []byte) (known bool, err error)) (torn bool, err error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
@@ -228,18 +234,26 @@ func Scan(path, owner string, record func(typ string, line []byte) (known bool, 
 		if len(line) == 0 {
 			continue
 		}
-		var kind struct {
-			Type string `json:"type"`
+		typ, peeked := peekType(line)
+		if !peeked {
+			var kind struct {
+				Type string `json:"type"`
+			}
+			if err := json.Unmarshal(line, &kind); err != nil {
+				// Possibly the torn final line; fail only if more records
+				// follow.
+				torn = true
+				continue
+			}
+			typ = kind.Type
 		}
-		if err := json.Unmarshal(line, &kind); err != nil {
-			// Possibly the torn final line; fail only if more records
-			// follow.
-			torn = true
-			continue
-		}
-		known, err := record(kind.Type, line)
+		known, err := record(typ, line)
 		if !known {
-			return false, fmt.Errorf("%s: journal %s line %d: unknown record type %q", owner, path, lineNo, kind.Type)
+			if peeked && !json.Valid(line) {
+				torn = true
+				continue
+			}
+			return false, fmt.Errorf("%s: journal %s line %d: unknown record type %q", owner, path, lineNo, typ)
 		}
 		if err != nil {
 			torn = true
@@ -249,4 +263,38 @@ func Scan(path, owner string, record func(typ string, line []byte) (known bool, 
 		return false, err
 	}
 	return torn, nil
+}
+
+// Validate reports an error when line is not one JSON value: the check a
+// Scan record func makes on a line it knows but does not decode.
+func Validate(line []byte) error {
+	if !json.Valid(line) {
+		return errMalformed
+	}
+	return nil
+}
+
+var errMalformed = errors.New("jsonl: malformed record")
+
+// typePrefix is how the writers' records begin: every journal record type
+// declares its "type" field first.
+var typePrefix = []byte(`{"type":"`)
+
+// peekType reads a line's record type from typePrefix: the name must be
+// free of escapes and followed by the next field or the end of the object.
+// ok is false for any other shape, which Scan then decodes in full.
+func peekType(line []byte) (typ string, ok bool) {
+	rest, ok := bytes.CutPrefix(line, typePrefix)
+	if !ok {
+		return "", false
+	}
+	end := bytes.IndexByte(rest, '"')
+	if end < 0 || end+1 == len(rest) || (rest[end+1] != ',' && rest[end+1] != '}') {
+		return "", false
+	}
+	name := rest[:end]
+	if bytes.IndexByte(name, '\\') >= 0 {
+		return "", false
+	}
+	return string(name), true
 }

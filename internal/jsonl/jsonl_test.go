@@ -196,3 +196,13 @@ func TestScanUnknownType(t *testing.T) {
 		t.Fatalf("err = %v, want an unknown-record-type error at line 2", err)
 	}
 }
+
+// TestScanTypeNotFirst: a record whose "type" is not its first key, or
+// whose prefix Scan cannot read its type from, still loads, through the
+// full decode.
+func TestScanTypeNotFirst(t *testing.T) {
+	recs, torn, err := scanFile(t, `{"n":1,"type":"a"}`+"\n"+`{"type":"a","n":2}`+"\n"+`{ "type":"a","n":3}`+"\n")
+	if err != nil || torn || len(recs) != 3 || recs[0].N != 1 || recs[1].N != 2 || recs[2].N != 3 {
+		t.Fatalf("records %+v, torn %v, err %v; want n = 1, 2, 3", recs, torn, err)
+	}
+}

@@ -1,6 +1,6 @@
 package oracle
 
-import "sync"
+import "nodefz/internal/vclock"
 
 // unit is one callback execution (or the implicit root for code that runs
 // before the loop starts). Units are ordered by the happens-before
@@ -56,7 +56,7 @@ func happensBefore(a, b *unit) bool {
 // goroutine, which is what makes the report stream deterministic under a
 // virtual clock.
 type Tracker struct {
-	mu        sync.Mutex
+	mu        vclock.Mutex // bound to the clock of the loops it serves (BindClock)
 	nextID    uint64
 	chainTail []*unit // chainTail[c] = current tail unit of chain c
 	stack     []*unit // execution stack; bottom is the implicit root unit
@@ -77,6 +77,16 @@ type Tracker struct {
 	freeUnits   []*unit
 	freeCells   []*cellState
 	predScratch []*unit // newUnit predecessor batch
+}
+
+// BindClock binds the tracker's lock to clk, the clock of the loops that
+// report to it: under a virtual clock every caller runs on the goroutine
+// driving that clock, and the tracker takes no lock. eventloop.New calls
+// it. Safe on a nil receiver.
+func (t *Tracker) BindClock(clk vclock.Clock) {
+	if t != nil {
+		t.mu.Bind(clk)
+	}
 }
 
 // getUnit hands out a recycled (or new) unit and registers it for the next

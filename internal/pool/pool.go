@@ -119,7 +119,7 @@ type Pool struct {
 	clk     vclock.Clock
 	virtual bool
 
-	mu      sync.Mutex
+	mu      vclock.Mutex // bound to clk
 	queue   []*Task
 	doneq   []*Task // multiplexed done queue (Demux == false)
 	closed  bool
@@ -163,6 +163,7 @@ func New(cfg Config) *Pool {
 	}
 	p := &Pool{cfg: cfg, clk: cfg.Clock}
 	_, p.virtual = cfg.Clock.(*vclock.Virtual)
+	p.mu.Bind(cfg.Clock)
 	if reg := cfg.Metrics; reg != nil {
 		p.mSubmitted = reg.Counter("pool.tasks_submitted")
 		p.mExecuted = reg.Counter("pool.tasks_executed")

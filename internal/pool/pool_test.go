@@ -158,8 +158,11 @@ func TestPickerControlsTaskOrder(t *testing.T) {
 	var mu sync.Mutex
 	var order []string
 	gate := make(chan struct{})
-	// Stall the single worker with a first task so the rest queue up.
+	// Stall the single worker with a first task so the rest queue up. The
+	// worker must have taken it before they arrive: its lookahead would
+	// otherwise see all five and pick the last one first.
 	p.Submit(&Task{Name: "gate", Fn: func() (any, error) { <-gate; return nil, nil }})
+	waitFor(t, func() bool { return p.Executed() == 1 })
 	for i := 0; i < 4; i++ {
 		name := fmt.Sprintf("t%d", i)
 		p.Submit(&Task{Name: name, Fn: func() (any, error) {
@@ -171,7 +174,12 @@ func TestPickerControlsTaskOrder(t *testing.T) {
 	}
 	waitFor(t, func() bool { return p.QueueLen() == 4 })
 	close(gate)
-	waitFor(t, func() bool { return p.Executed() == 5 })
+	// Executed counts tasks taken, so wait for the last one to have run.
+	waitFor(t, func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(order) == 4
+	})
 	mu.Lock()
 	defer mu.Unlock()
 	// lastPicker with unlimited DoF always takes the newest task: LIFO.

@@ -12,8 +12,9 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
+
+	"nodefz/internal/vclock"
 )
 
 // Entry is one executed callback in a schedule.
@@ -36,12 +37,18 @@ type Recorder struct {
 	// wall-clock stamps make otherwise deterministic traces diverge.
 	Now func() time.Time
 
-	mu      sync.Mutex
+	mu      vclock.Mutex // bound to the loops' clock (BindClock)
 	entries []Entry
 }
 
 // NewRecorder returns an empty Recorder stamping entries with wall time.
 func NewRecorder() *Recorder { return &Recorder{} }
+
+// BindClock binds the recorder's lock to clk, the clock of the loops that
+// record into it; eventloop.New calls it. Under a virtual clock every
+// Record runs on the goroutine driving the clock, and the recorder takes no
+// lock.
+func (r *Recorder) BindClock(clk vclock.Clock) { r.mu.Bind(clk) }
 
 // Record appends one executed callback to the schedule.
 func (r *Recorder) Record(kind, label string) {

@@ -4,10 +4,10 @@ import (
 	"math/rand"
 
 	"nodefz/internal/frand"
-	"sync"
 	"time"
 
 	"nodefz/internal/eventloop"
+	"nodefz/internal/vclock"
 )
 
 // Async exposes the filesystem asynchronously, Node-style: each operation
@@ -19,7 +19,7 @@ type Async struct {
 	fs      *FS
 	latency time.Duration
 
-	mu  sync.Mutex
+	mu  vclock.Mutex // bound to the loop's clock
 	rng *rand.Rand
 }
 
@@ -30,15 +30,17 @@ type Async struct {
 // generator, because real disk service times vary and that variance is
 // what reorders concurrent completions.
 func Bind(loop *eventloop.Loop, fs *FS, latency time.Duration, seed int64) *Async {
-	if loop != nil {
-		fs.SetClock(loop.Clock())
-	}
-	return &Async{
+	a := &Async{
 		loop:    loop,
 		fs:      fs,
 		latency: latency,
 		rng:     frand.New(seed),
 	}
+	if loop != nil {
+		fs.SetClock(loop.Clock())
+		a.mu.Bind(loop.Clock())
+	}
+	return a
 }
 
 // FS returns the underlying synchronous filesystem.

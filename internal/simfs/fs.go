@@ -20,7 +20,6 @@ package simfs
 import (
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"nodefz/internal/vclock"
@@ -30,17 +29,18 @@ import (
 // page size.
 const DefaultPageSize = 4096
 
-// FS is an in-memory filesystem rooted at "/".
+// FS is an in-memory filesystem rooted at "/". Its locks, the per-file
+// ones included, follow the clock SetClock installs.
 type FS struct {
 	pageSize int
 
-	mu   sync.Mutex // guards the tree structure and file sizes
+	mu   vclock.Mutex // guards the tree structure and file sizes
 	root *node
 
-	opsMu sync.Mutex // guards opCounts
+	opsMu vclock.Mutex // guards opCounts
 	ops   map[string]int
 
-	watchMu  sync.Mutex // guards watchers
+	watchMu  vclock.Mutex // guards watchers
 	watchers []*Watcher
 
 	pageDelay time.Duration // simulated disk time per page (see SetPageWriteDelay)
@@ -51,8 +51,16 @@ type node struct {
 	dir      bool
 	children map[string]*node
 
-	fileMu sync.Mutex // per-file page lock (see WriteAt)
+	fileMu vclock.Mutex // per-file page lock (see WriteAt)
 	data   []byte
+}
+
+// bind binds the page locks of n and everything under it to clk.
+func (n *node) bind(clk vclock.Clock) {
+	n.fileMu.Bind(clk)
+	for _, c := range n.children {
+		c.bind(clk)
+	}
 }
 
 // New returns an empty filesystem with the default page size.
@@ -94,8 +102,16 @@ func (fs *FS) Reset() {
 func (fs *FS) SetPageWriteDelay(d time.Duration) { fs.pageDelay = d }
 
 // SetClock installs the time source the page-write delay elapses on (Bind
-// wires the owning loop's clock in). Nil, the default, means wall time.
-func (fs *FS) SetClock(clk vclock.Clock) { fs.clk = clk }
+// wires the owning loop's clock in), and binds the filesystem's locks to
+// it. Nil, the default, means wall time. The caller must guarantee no
+// operation is in flight.
+func (fs *FS) SetClock(clk vclock.Clock) {
+	fs.clk = clk
+	fs.mu.Bind(clk)
+	fs.opsMu.Bind(clk)
+	fs.watchMu.Bind(clk)
+	fs.root.bind(clk)
+}
 
 // OpCount reports how many times the named operation has been invoked,
 // successfully or not. Bug detectors use it (e.g. CLF counts creates).
@@ -111,24 +127,34 @@ func (fs *FS) countOp(op string) {
 	fs.opsMu.Unlock()
 }
 
-// split normalizes path into components; "" and "/" mean the root.
-func split(path string) ([]string, bool) {
+// pathDepth is the component capacity every operation gives split: a
+// buffer of constant size stays on the stack, so walking a path allocates
+// nothing unless it is deeper.
+const pathDepth = 8
+
+// split appends path's normalized components to dst and returns it; "" and
+// "/" mean the root. The components are substrings of path.
+func split(dst []string, path string) ([]string, bool) {
 	if path == "" {
 		return nil, false
 	}
-	parts := strings.Split(strings.Trim(path, "/"), "/")
-	out := parts[:0]
-	for _, p := range parts {
+	for path != "" {
+		p := path
+		if i := strings.IndexByte(path, '/'); i >= 0 {
+			p, path = path[:i], path[i+1:]
+		} else {
+			path = ""
+		}
 		switch p {
 		case "", ".":
 			continue
 		case "..":
 			return nil, false
 		default:
-			out = append(out, p)
+			dst = append(dst, p)
 		}
 	}
-	return out, true
+	return dst, true
 }
 
 // lookup walks to path; both return values are nil when a component is
@@ -178,7 +204,7 @@ type Info struct {
 // Stat describes the file or directory at path.
 func (fs *FS) Stat(path string) (Info, error) {
 	fs.countOp("stat")
-	parts, ok := split(path)
+	parts, ok := split(make([]string, 0, pathDepth), path)
 	if !ok {
 		return Info{}, pathErr("stat", path, EINVAL)
 	}
@@ -200,7 +226,7 @@ func (fs *FS) Stat(path string) (Info, error) {
 // parent component is a file.
 func (fs *FS) Mkdir(path string) error {
 	fs.countOp("mkdir")
-	parts, ok := split(path)
+	parts, ok := split(make([]string, 0, pathDepth), path)
 	if !ok || len(parts) == 0 {
 		return pathErr("mkdir", path, EINVAL)
 	}
@@ -223,7 +249,7 @@ func (fs *FS) Mkdir(path string) error {
 // Create creates (or truncates) the file at path, like open(O_CREAT|O_TRUNC).
 func (fs *FS) Create(path string) error {
 	fs.countOp("create")
-	parts, ok := split(path)
+	parts, ok := split(make([]string, 0, pathDepth), path)
 	if !ok || len(parts) == 0 {
 		return pathErr("create", path, EINVAL)
 	}
@@ -245,7 +271,9 @@ func (fs *FS) Create(path string) error {
 		fs.notify(WatchEvent{Op: WatchCreate, Path: canonical(path)})
 		return nil
 	}
-	parent.children[name] = &node{}
+	f := &node{}
+	f.fileMu.Bind(fs.clk)
+	parent.children[name] = f
 	fs.mu.Unlock()
 	fs.notify(WatchEvent{Op: WatchCreate, Path: canonical(path)})
 	return nil
@@ -359,7 +387,7 @@ func (fs *FS) ReadAt(path string, off, count int) ([]byte, error) {
 // Unlink removes the file at path.
 func (fs *FS) Unlink(path string) error {
 	fs.countOp("unlink")
-	parts, ok := split(path)
+	parts, ok := split(make([]string, 0, pathDepth), path)
 	if !ok || len(parts) == 0 {
 		return pathErr("unlink", path, EINVAL)
 	}
@@ -387,7 +415,7 @@ func (fs *FS) Unlink(path string) error {
 // Rmdir removes the empty directory at path.
 func (fs *FS) Rmdir(path string) error {
 	fs.countOp("rmdir")
-	parts, ok := split(path)
+	parts, ok := split(make([]string, 0, pathDepth), path)
 	if !ok || len(parts) == 0 {
 		return pathErr("rmdir", path, EINVAL)
 	}
@@ -419,7 +447,7 @@ func (fs *FS) Rmdir(path string) error {
 // ReadDir lists the names in the directory at path, sorted.
 func (fs *FS) ReadDir(path string) ([]string, error) {
 	fs.countOp("readdir")
-	parts, ok := split(path)
+	parts, ok := split(make([]string, 0, pathDepth), path)
 	if !ok {
 		return nil, pathErr("readdir", path, EINVAL)
 	}
@@ -443,8 +471,8 @@ func (fs *FS) ReadDir(path string) ([]string, error) {
 // Rename moves oldPath to newPath, replacing a non-directory target.
 func (fs *FS) Rename(oldPath, newPath string) error {
 	fs.countOp("rename")
-	op, ok1 := split(oldPath)
-	np, ok2 := split(newPath)
+	op, ok1 := split(make([]string, 0, pathDepth), oldPath)
+	np, ok2 := split(make([]string, 0, pathDepth), newPath)
 	if !ok1 || !ok2 || len(op) == 0 || len(np) == 0 {
 		return pathErr("rename", oldPath, EINVAL)
 	}
@@ -483,7 +511,7 @@ func (fs *FS) Exists(path string) bool {
 
 // file resolves path to a file node.
 func (fs *FS) file(op, path string) (*node, error) {
-	parts, ok := split(path)
+	parts, ok := split(make([]string, 0, pathDepth), path)
 	if !ok || len(parts) == 0 {
 		return nil, pathErr(op, path, EINVAL)
 	}

@@ -108,7 +108,7 @@ func (fs *FS) notify(ev WatchEvent) {
 
 // canonical rebuilds the canonical "/a/b" form from split components.
 func canonical(path string) string {
-	parts, ok := split(path)
+	parts, ok := split(make([]string, 0, pathDepth), path)
 	if !ok || len(parts) == 0 {
 		return "/"
 	}

@@ -2,18 +2,38 @@ package simnet
 
 import (
 	"container/heap"
-	"sync"
 	"time"
 
+	"nodefz/internal/oracle"
 	"nodefz/internal/vclock"
 )
 
-// delivery is one scheduled network action: at due, fire fn (which posts a
-// poll event on some loop).
+// wireOp is what a delivery does when it arrives.
+type wireOp uint8
+
+const (
+	opData wireOp = iota // payload for the receiving endpoint's OnData
+	opFIN                // the sending endpoint closed
+	opCall               // connection setup: call fn
+)
+
+// flight is what travels on the wire: a message or a FIN from one endpoint
+// to its peer, or a step of connection setup. A message carries its own
+// payload, so sending one allocates no closure.
+type flight struct {
+	op       wireOp
+	from, to *Conn // nil for a dial's SYN, which has no connection yet
+	payload  []byte
+	ref      oracle.Ref // the sending unit: the delivery happens-after it
+	fn       func(oracle.Ref)
+}
+
+// delivery is one scheduled flight: at due, it arrives (and posts a poll
+// event on some loop).
 type delivery struct {
 	due time.Time
 	seq uint64
-	fn  func()
+	flight
 }
 
 type deliveryHeap []*delivery
@@ -45,7 +65,7 @@ type engine struct {
 	// network is closing) carries a run grant.
 	proc   vclock.Proc
 	group  vclock.Group
-	mu     sync.Mutex
+	mu     vclock.Mutex // bound to clk
 	heap   deliveryHeap
 	seq    uint64
 	closed bool
@@ -59,16 +79,17 @@ func newEngine(clk vclock.Clock) *engine {
 		clk = vclock.Wall{}
 	}
 	e := &engine{clk: clk}
+	e.mu.Bind(clk)
 	e.proc.Init(clk, 2, e.step)
 	// The spawn fixes the engine's place in the virtual run order.
 	e.proc.Spawn(&e.group)
 	return e
 }
 
-// schedule queues fn to fire after delay, but never before notBefore
+// schedule queues f to arrive after delay, but never before notBefore
 // (which enforces per-connection FIFO). It returns the actual due time so
 // callers can thread it as the next notBefore.
-func (e *engine) schedule(delay time.Duration, notBefore time.Time, fn func()) time.Time {
+func (e *engine) schedule(delay time.Duration, notBefore time.Time, f flight) time.Time {
 	due := e.clk.Now().Add(delay)
 	if due.Before(notBefore) {
 		due = notBefore
@@ -87,7 +108,7 @@ func (e *engine) schedule(delay time.Duration, notBefore time.Time, fn func()) t
 	} else {
 		d = &delivery{}
 	}
-	d.due, d.seq, d.fn = due, e.seq, fn
+	d.due, d.seq, d.flight = due, e.seq, f
 	heap.Push(&e.heap, d)
 	e.mu.Unlock()
 	e.proc.Notify(true)
@@ -133,7 +154,7 @@ func (e *engine) step() vclock.Wait {
 	for {
 		e.mu.Lock()
 		if fired != nil {
-			fired.fn = nil
+			fired.flight = flight{}
 			e.free = append(e.free, fired)
 		}
 		if e.closed {
@@ -151,7 +172,7 @@ func (e *engine) step() vclock.Wait {
 		}
 		heap.Pop(&e.heap)
 		e.mu.Unlock()
-		next.fn()
+		next.arrive()
 		fired = next
 	}
 }

@@ -4,7 +4,14 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"nodefz/internal/oracle"
 )
+
+// call is a connection-setup flight that runs fn when it arrives.
+func call(fn func()) flight {
+	return flight{op: opCall, fn: func(oracle.Ref) { fn() }}
+}
 
 func TestEngineFiresInDueOrder(t *testing.T) {
 	e := newEngine(nil)
@@ -22,9 +29,9 @@ func TestEngineFiresInDueOrder(t *testing.T) {
 		}
 	}
 	// Scheduled out of order; must fire in due order.
-	e.schedule(9*time.Millisecond, time.Time{}, record(3))
-	e.schedule(3*time.Millisecond, time.Time{}, record(1))
-	e.schedule(6*time.Millisecond, time.Time{}, record(2))
+	e.schedule(9*time.Millisecond, time.Time{}, call(record(3)))
+	e.schedule(3*time.Millisecond, time.Time{}, call(record(1)))
+	e.schedule(6*time.Millisecond, time.Time{}, call(record(2)))
 	wg.Wait()
 	mu.Lock()
 	defer mu.Unlock()
@@ -38,7 +45,7 @@ func TestEngineNotBeforeRaisesDue(t *testing.T) {
 	defer e.close()
 	notBefore := time.Now().Add(20 * time.Millisecond)
 	fired := make(chan time.Time, 1)
-	due := e.schedule(time.Millisecond, notBefore, func() { fired <- time.Now() })
+	due := e.schedule(time.Millisecond, notBefore, call(func() { fired <- time.Now() }))
 	if due.Before(notBefore) {
 		t.Fatalf("due %v before notBefore %v", due, notBefore)
 	}
@@ -55,7 +62,7 @@ func TestEngineNotBeforeRaisesDue(t *testing.T) {
 func TestEngineCloseDropsPending(t *testing.T) {
 	e := newEngine(nil)
 	fired := false
-	e.schedule(50*time.Millisecond, time.Time{}, func() { fired = true })
+	e.schedule(50*time.Millisecond, time.Time{}, call(func() { fired = true }))
 	e.close()
 	e.close() // idempotent
 	time.Sleep(80 * time.Millisecond)
@@ -63,7 +70,7 @@ func TestEngineCloseDropsPending(t *testing.T) {
 		t.Fatal("delivery fired after close")
 	}
 	// schedule after close is a no-op, not a panic
-	e.schedule(time.Millisecond, time.Time{}, func() { fired = true })
+	e.schedule(time.Millisecond, time.Time{}, call(func() { fired = true }))
 	time.Sleep(10 * time.Millisecond)
 	if fired {
 		t.Fatal("delivery fired on closed engine")
@@ -80,12 +87,12 @@ func TestEngineTieBreakBySequence(t *testing.T) {
 	wg.Add(4)
 	for i := 0; i < 4; i++ {
 		i := i
-		e.schedule(0, due, func() {
+		e.schedule(0, due, call(func() {
 			mu.Lock()
 			order = append(order, i)
 			mu.Unlock()
 			wg.Done()
-		})
+		}))
 	}
 	wg.Wait()
 	mu.Lock()
@@ -104,7 +111,7 @@ func TestEngineHighVolume(t *testing.T) {
 	var wg sync.WaitGroup
 	wg.Add(n)
 	for i := 0; i < n; i++ {
-		e.schedule(time.Duration(i%7)*time.Millisecond, time.Time{}, wg.Done)
+		e.schedule(time.Duration(i%7)*time.Millisecond, time.Time{}, call(wg.Done))
 	}
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()

@@ -12,11 +12,10 @@ package simnet
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
+	"strconv"
 
 	"nodefz/internal/frand"
-	"sync"
 	"time"
 
 	"nodefz/internal/eventloop"
@@ -65,7 +64,7 @@ type Network struct {
 	cfg    Config
 	engine *engine
 
-	mu        sync.Mutex
+	mu        vclock.Mutex // bound to cfg.Clock
 	rng       *rand.Rand
 	listeners map[string]*Listener
 	connSeq   uint64
@@ -83,12 +82,14 @@ func New(cfg Config) *Network {
 	if cfg.MaxLatency < cfg.MinLatency {
 		cfg.MaxLatency = 10 * cfg.MinLatency
 	}
-	return &Network{
+	n := &Network{
 		cfg:       cfg,
 		engine:    newEngine(cfg.Clock),
 		rng:       frand.New(cfg.Seed),
 		listeners: make(map[string]*Listener),
 	}
+	n.mu.Bind(cfg.Clock)
+	return n
 }
 
 // Close shuts the network down; undelivered messages are dropped. Close
@@ -228,13 +229,27 @@ type Conn struct {
 	loop *eventloop.Loop
 	src  *eventloop.Source
 	name string
+	// recv and fin are the loop callbacks of this endpoint's read and
+	// peer-close events, bound once so that no delivery allocates one.
+	recv func([]byte)
+	fin  func()
 
-	mu            sync.Mutex
+	mu            vclock.Mutex // bound to the network's clock
 	peer          *Conn
 	onData        func([]byte)
 	onClose       func()
 	closed        bool
 	sendNotBefore time.Time
+}
+
+// newConn builds the endpoint of connection seq on loop; side is ":client"
+// or ":server".
+func (n *Network) newConn(loop *eventloop.Loop, seq uint64, side string) *Conn {
+	name := "conn" + strconv.FormatUint(seq, 10) + side
+	c := &Conn{net: n, loop: loop, src: loop.NewSource(name), name: name}
+	c.recv, c.fin = c.receive, c.closedByPeer
+	c.mu.Bind(n.cfg.Clock)
+	return c
 }
 
 // Name identifies the endpoint in schedules, e.g. "conn3:client".
@@ -272,14 +287,9 @@ func (n *Network) Dial(loop *eventloop.Loop, addr string, onConnect func(*Conn, 
 	seq := n.connSeq
 	n.mu.Unlock()
 
-	client := &Conn{
-		net:  n,
-		loop: loop,
-		src:  loop.NewSource(fmt.Sprintf("conn%d:client", seq)),
-		name: fmt.Sprintf("conn%d:client", seq),
-	}
+	client := n.newConn(loop, seq, ":client")
 
-	n.engine.schedule(n.latency(), time.Time{}, func() {
+	n.engine.schedule(n.latency(), time.Time{}, flight{op: opCall, fn: func(oracle.Ref) {
 		n.mu.Lock()
 		ln := n.listeners[addr]
 		refused := ln == nil || ln.closed
@@ -296,12 +306,7 @@ func (n *Network) Dial(loop *eventloop.Loop, addr string, onConnect func(*Conn, 
 			})
 			return
 		}
-		server := &Conn{
-			net:  n,
-			loop: ln.loop,
-			src:  ln.loop.NewSource(fmt.Sprintf("conn%d:server", seq)),
-			name: fmt.Sprintf("conn%d:server", seq),
-		}
+		server := n.newConn(ln.loop, seq, ":server")
 		client.mu.Lock()
 		client.peer = server
 		client.mu.Unlock()
@@ -317,14 +322,14 @@ func (n *Network) Dial(loop *eventloop.Loop, addr string, onConnect func(*Conn, 
 			// The ack goes out before the application sees the connection,
 			// like a kernel-level SYN-ACK: whatever the accept callback does
 			// (send, even close) is FIFO *behind* it.
-			server.scheduleOut(func(ref oracle.Ref) {
+			server.scheduleOut(flight{op: opCall, fn: func(ref oracle.Ref) {
 				client.src.PostRef(KindConnect, client.name, ref, func() {
 					onConnect(client, nil)
 				})
-			})
+			}})
 			ln.onConn(server)
 		})
-	})
+	}})
 }
 
 // Send transmits data to the peer; the peer's OnData handler runs on the
@@ -342,49 +347,35 @@ func (c *Conn) Send(data []byte) error {
 	if peer == nil {
 		return ErrClosed
 	}
+	// OnData handlers may keep the slice, so every message gets its own.
 	msg := make([]byte, len(data))
 	copy(msg, data)
-	c.scheduleOut(func(ref oracle.Ref) {
-		if peer.Closed() {
-			// RST: the remote endpoint is gone and its FIN never reached us —
-			// it crashed inside a partition, say. As with TCP, the next
-			// segment to arrive at a dead endpoint resets the sender's side
-			// of the connection, which is how a protocol's keepalive traffic
-			// discovers a half-open connection and redials.
-			c.peerClosed(ref)
-			return
-		}
-		peer.deliver(msg, ref)
-	})
+	c.scheduleOut(flight{op: opData, payload: msg})
 	return nil
 }
 
-// scheduleOut queues fn on this endpoint's outgoing direction: a fresh
+// scheduleOut queues f on this endpoint's outgoing direction: a fresh
 // latency sample, but never delivered before anything already in flight on
 // the same direction (per-connection FIFO, §4.2.1). The sending unit is
-// captured here, on the calling loop, and handed to fn so the eventual
-// delivery happens-after its sender.
-func (c *Conn) scheduleOut(fn func(ref oracle.Ref)) {
-	ref := c.net.probeRef()
+// captured here, on the calling loop, so the eventual delivery
+// happens-after its sender.
+func (c *Conn) scheduleOut(f flight) {
+	f.ref = c.net.probeRef()
 	c.mu.Lock()
 	notBefore := c.sendNotBefore
-	peer := c.peer
+	f.from, f.to = c, c.peer
 	c.mu.Unlock()
 	// Partition checks at both ends of the flight: a message sent into a
 	// dead link is dropped at the first hop (but still consumes a latency
 	// sample, keeping the decision stream aligned with the healed schedule),
-	// and a message in flight when the cut lands is lost on the dead wire.
-	// The transport never retransmits across a heal; protocols must.
+	// and a message in flight when the cut lands is lost on the dead wire
+	// (arrive). The transport never retransmits across a heal; protocols
+	// must.
 	delay := c.net.latency()
-	if peer != nil && !c.net.linkUp(c.loop, peer.loop) {
+	if f.to != nil && !c.net.linkUp(c.loop, f.to.loop) {
 		return
 	}
-	due := c.net.engine.schedule(delay, notBefore, func() {
-		if peer != nil && !c.net.linkUp(c.loop, peer.loop) {
-			return
-		}
-		fn(ref)
-	})
+	due := c.net.engine.schedule(delay, notBefore, f)
 	c.mu.Lock()
 	if due.After(c.sendNotBefore) {
 		c.sendNotBefore = due
@@ -392,16 +383,39 @@ func (c *Conn) scheduleOut(fn func(ref oracle.Ref)) {
 	c.mu.Unlock()
 }
 
-func (c *Conn) deliver(msg []byte, ref oracle.Ref) {
-	c.src.PostRef(KindRead, c.name, ref, func() {
-		c.mu.Lock()
-		fn := c.onData
-		closed := c.closed
-		c.mu.Unlock()
-		if fn != nil && !closed {
-			fn(msg)
+// arrive lands a due flight at its far end.
+func (f *flight) arrive() {
+	if f.from != nil && f.to != nil && !f.from.net.linkUp(f.from.loop, f.to.loop) {
+		return
+	}
+	switch f.op {
+	case opCall:
+		f.fn(f.ref)
+	case opData:
+		if f.to.Closed() {
+			// RST: the remote endpoint is gone and its FIN never reached us —
+			// it crashed inside a partition, say. As with TCP, the next
+			// segment to arrive at a dead endpoint resets the sender's side
+			// of the connection, which is how a protocol's keepalive traffic
+			// discovers a half-open connection and redials.
+			f.from.peerClosed(f.ref)
+			return
 		}
-	})
+		f.to.src.PostData(KindRead, f.to.name, f.ref, f.to.recv, f.payload)
+	case opFIN:
+		f.to.peerClosed(f.ref)
+	}
+}
+
+// receive runs a delivered message on the endpoint's loop (bound as recv).
+func (c *Conn) receive(msg []byte) {
+	c.mu.Lock()
+	fn := c.onData
+	closed := c.closed
+	c.mu.Unlock()
+	if fn != nil && !closed {
+		fn(msg)
+	}
 }
 
 // Close tears the connection down. The local OnClose handler runs in the
@@ -420,29 +434,34 @@ func (c *Conn) Close() {
 	c.mu.Unlock()
 
 	if peer != nil {
-		c.scheduleOut(peer.peerClosed)
+		c.scheduleOut(flight{op: opFIN})
 	}
 	c.src.Close(onClose)
 }
 
-// peerClosed handles the remote side going away. The closed flag and the
-// OnClose handler are read inside the posted callback, not here: data
-// events already queued on the loop must still reach their handler first
-// (per-direction FIFO), and handlers registered between the wire-level
-// close and its loop-level processing must still be honoured.
+// peerClosed posts the remote side's going away to the endpoint's loop.
+// The closed flag and the OnClose handler are read inside the posted
+// callback (closedByPeer), not here: data events already queued on the
+// loop must still reach their handler first (per-direction FIFO), and
+// handlers registered between the wire-level close and its loop-level
+// processing must still be honoured.
 func (c *Conn) peerClosed(ref oracle.Ref) {
-	c.src.PostRef(KindClose, c.name, ref, func() {
-		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
-			return
-		}
-		c.closed = true
-		onClose := c.onClose
+	c.src.PostRef(KindClose, c.name, ref, c.fin)
+}
+
+// closedByPeer closes the endpoint on its loop once the peer has gone
+// (bound as fin).
+func (c *Conn) closedByPeer() {
+	c.mu.Lock()
+	if c.closed {
 		c.mu.Unlock()
-		if onClose != nil {
-			onClose()
-		}
-		c.src.Close(nil)
-	})
+		return
+	}
+	c.closed = true
+	onClose := c.onClose
+	c.mu.Unlock()
+	if onClose != nil {
+		onClose()
+	}
+	c.src.Close(nil)
 }
