@@ -137,10 +137,10 @@ const FSLatency = 1500 * time.Microsecond
 // scheduling they are invisible; under the fuzzer each expiry is a chance
 // for a timer deferral and its injected delay, stretching the schedule.
 func AddTimerNoise(l *eventloop.Loop, every, until time.Duration) {
-	deadline := l.Clock().Now().Add(until)
+	deadline := vclock.AddNanos(l.Clock().Nanos(), until)
 	var tick *eventloop.Timer
 	tick = l.SetIntervalNamed("noise", every, func() {
-		if l.Clock().Now().After(deadline) {
+		if l.Clock().Nanos() > deadline {
 			tick.Stop()
 		}
 	})
@@ -168,10 +168,10 @@ func (cfg RunConfig) AddFSNoise(l *eventloop.Loop, seed int64, every, until time
 	if err := fsa.FS().Create("/noise"); err != nil {
 		panic(err)
 	}
-	deadline := l.Clock().Now().Add(until)
+	deadline := vclock.AddNanos(l.Clock().Nanos(), until)
 	var tick *eventloop.Timer
 	tick = l.SetIntervalNamed("fs-noise", every, func() {
-		if l.Clock().Now().After(deadline) {
+		if l.Clock().Nanos() > deadline {
 			tick.Stop()
 			return
 		}

@@ -79,7 +79,7 @@ func kueTimeRun(cfg RunConfig, fixed bool) Outcome {
 
 	// The suite's background load: many concurrent job-status round trips,
 	// each reply doing a slice of callback work.
-	stop := clk.Now().Add(trafficTo)
+	stop := vclock.AddNanos(clk.Nanos(), trafficTo)
 	live := 0
 	for i := 0; i < chains; i++ {
 		i := i
@@ -90,7 +90,7 @@ func kueTimeRun(cfg RunConfig, fixed bool) Outcome {
 			live++
 			conn.OnData(func([]byte) {
 				kueTimeBusy(clk, workEach)
-				if clk.Now().Before(stop) {
+				if clk.Nanos() < stop {
 					_ = conn.Send([]byte(fmt.Sprintf("job-%d", i)))
 					return
 				}
@@ -107,9 +107,9 @@ func kueTimeRun(cfg RunConfig, fixed bool) Outcome {
 	// The offending assertion: registered for `deadline`, it crashes if it
 	// runs within `slack` of the deadline — the suite relied on the
 	// saturated loop making timers imprecise.
-	start := clk.Now()
+	start := clk.Nanos()
 	l.SetTimeoutNamed("precision-assert", deadline, func() {
-		late := clk.Since(start) - deadline
+		late := time.Duration(clk.Nanos()-start) - deadline
 		if late < slack && !fixed {
 			out.Manifested = true
 			out.Note = fmt.Sprintf(

@@ -14,7 +14,6 @@
 package eventloop
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"sync"
@@ -160,7 +159,9 @@ type Loop struct {
 	pool    *pool.Pool
 	runLock sync.Locker // serializes callbacks with worker tasks under the fuzzer
 
-	pollStart atomic.Int64 // unix-nanos when the loop entered poll; 0 otherwise
+	// pollStart is 1 plus the clock's Nanos when the loop entered poll (a
+	// virtual loop may enter it at 0), and 0 otherwise.
+	pollStart atomic.Int64
 	depth     atomic.Int32 // callback nesting guard, used to detect overlap
 
 	// stats is loop-goroutine-only; its TasksExecuted stays 0, as Stats
@@ -728,16 +729,16 @@ func (l *Loop) addTimer(d, period time.Duration, label string, cb func()) *Timer
 	}
 	l.tmAll = append(l.tmAll, t)
 	*t = Timer{
-		loop:     l,
-		cb:       cb,
-		deadline: l.clk.Now().Add(d),
-		period:   period,
-		seq:      l.timerSeq,
-		refed:    true,
-		label:    label,
-		oref:     l.oracleRef(),
+		loop:   l,
+		cb:     cb,
+		at:     vclock.AddNanos(l.clk.Nanos(), d),
+		period: period,
+		seq:    l.timerSeq,
+		refed:  true,
+		label:  label,
+		oref:   l.oracleRef(),
 	}
-	heap.Push(&l.timers, t)
+	l.timers.push(t)
 	l.ref()
 	return t
 }
@@ -749,10 +750,10 @@ func (l *Loop) runTimers() time.Duration {
 	if l.isStopped() {
 		return 0
 	}
-	now := l.clk.Now()
+	now := l.clk.Nanos()
 	due := l.dueScratch[:0]
-	for l.timers.Len() > 0 && !l.timers[0].deadline.After(now) {
-		due = append(due, heap.Pop(&l.timers).(*Timer))
+	for len(l.timers) > 0 && l.timers[0].at <= now {
+		due = append(due, l.timers.pop())
 	}
 	l.dueScratch = due
 	if len(due) == 0 {
@@ -765,10 +766,10 @@ func (l *Loop) runTimers() time.Duration {
 	if run < 0 {
 		run = 0
 	}
-	// Deferred timers go straight back on the heap; their (deadline, seq)
-	// keys preserve the original order for the next iteration.
+	// Deferred timers go straight back on the heap; their (at, seq) keys
+	// preserve the original order for the next iteration.
 	for _, t := range due[run:] {
-		heap.Push(&l.timers, t)
+		l.timers.push(t)
 	}
 	l.stats.TimersDeferred += int64(len(due) - run)
 	for _, t := range due[:run] {
@@ -791,11 +792,11 @@ func (l *Loop) fireTimer(t *Timer) {
 		return
 	}
 	if l.lagNS != nil {
-		l.lagNS.ObserveDuration(l.clk.Since(t.deadline))
+		l.lagNS.Observe(l.clk.Nanos() - t.at)
 	}
 	if t.period > 0 {
-		t.deadline = l.clk.Now().Add(t.period)
-		heap.Push(&l.timers, t)
+		t.at = vclock.AddNanos(l.clk.Nanos(), t.period)
+		l.timers.push(t)
 	} else {
 		t.stopped = true
 		if t.refed {
@@ -815,10 +816,10 @@ func (l *Loop) fireTimer(t *Timer) {
 // nextTimerWait returns how long poll may block before the next timer is
 // due; ok is false when no timers are pending.
 func (l *Loop) nextTimerWait() (time.Duration, bool) {
-	if l.timers.Len() == 0 {
+	if len(l.timers) == 0 {
 		return 0, false
 	}
-	d := l.clk.Until(l.timers[0].deadline)
+	d := time.Duration(l.timers[0].at - l.clk.Nanos())
 	if d < 0 {
 		d = 0
 	}
@@ -832,7 +833,7 @@ func (l *Loop) timeInPoll() time.Duration {
 	if start == 0 {
 		return 0
 	}
-	return time.Duration(l.clk.Now().UnixNano() - start)
+	return time.Duration(l.clk.Nanos() + 1 - start)
 }
 
 // poll runs the ready events once the step has waited for them (bounded by
@@ -911,7 +912,7 @@ func (l *Loop) enterPollWait() bool {
 	l.mu.Lock()
 	l.pollBlocked = true
 	l.mu.Unlock()
-	l.pollStart.Store(l.clk.Now().UnixNano())
+	l.pollStart.Store(l.clk.Nanos() + 1)
 	// Workers waiting out the lookahead window bound their wait by how long
 	// we sit in poll; tell them the clock just started.
 	l.pool.PokeWaiters()

@@ -7,6 +7,7 @@ import (
 	"nodefz/internal/eventloop"
 	"nodefz/internal/oracle"
 	"nodefz/internal/simnet"
+	"nodefz/internal/vclock"
 )
 
 // Server is the key/value store. Requests are applied atomically, one loop
@@ -20,7 +21,7 @@ type Server struct {
 	strings map[string]string
 	hashes  map[string]map[string]string
 	lists   map[string][]string
-	expiry  map[string]time.Time
+	expiry  map[string]int64 // deadlines, on the loop clock's Nanos time line
 
 	workModel func(op string, args []string) time.Duration
 
@@ -61,7 +62,7 @@ func NewServer(loop *eventloop.Loop, net *simnet.Network, addr string) (*Server,
 		strings: make(map[string]string),
 		hashes:  make(map[string]map[string]string),
 		lists:   make(map[string][]string),
-		expiry:  make(map[string]time.Time),
+		expiry:  make(map[string]int64),
 	}
 	ln, err := net.Listen(loop, addr, s.accept)
 	if err != nil {
@@ -111,7 +112,7 @@ func (s *Server) expired(key string) bool {
 	if !ok {
 		return false
 	}
-	if s.loop.Clock().Now().Before(exp) {
+	if s.loop.Clock().Nanos() < exp {
 		return false
 	}
 	delete(s.expiry, key)
@@ -184,7 +185,7 @@ func (s *Server) apply(req request) response {
 		}
 		s.strings[key] = arg(1)
 		if ms, err := strconv.Atoi(arg(2)); err == nil && ms > 0 {
-			s.expiry[key] = s.loop.Clock().Now().Add(time.Duration(ms) * time.Millisecond)
+			s.expiry[key] = vclock.AddNanos(s.loop.Clock().Nanos(), time.Duration(ms)*time.Millisecond)
 		}
 		resp.OK = true
 

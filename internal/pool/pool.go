@@ -311,10 +311,10 @@ type worker struct {
 	at   int   // resume point: wTake, wFill or wRun
 	task *Task // taken, not yet run
 	// The lookahead wait in progress (wFill): the policy's degrees of
-	// freedom and poll threshold, and the fill deadline.
+	// freedom and poll threshold, and the fill deadline (a Nanos reading).
 	dof           int
 	pollThreshold time.Duration
-	deadline      time.Time
+	deadline      int64
 }
 
 // Resume points of a worker's step.
@@ -376,7 +376,7 @@ func (w *worker) take() (vclock.Wait, bool) {
 		var maxDelay time.Duration
 		w.dof, maxDelay, w.pollThreshold = p.cfg.Picker.WaitPolicy()
 		if maxDelay > 0 && (w.dof < 0 || len(p.queue) < w.dof) {
-			w.at, w.deadline = wFill, p.clk.Now().Add(maxDelay)
+			w.at, w.deadline = wFill, vclock.AddNanos(p.clk.Nanos(), maxDelay)
 		}
 	}
 	if w.at == wFill {
@@ -415,7 +415,7 @@ func (w *worker) fillWait() (d time.Duration, ok bool) {
 	if p.closed || (w.dof >= 0 && len(p.queue) >= w.dof) {
 		return 0, false
 	}
-	d = p.clk.Until(w.deadline)
+	d = time.Duration(w.deadline - p.clk.Nanos())
 	if d <= 0 {
 		return 0, false
 	}

@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"container/heap"
 	"time"
 
 	"nodefz/internal/oracle"
@@ -28,32 +27,66 @@ type flight struct {
 	fn       func(oracle.Ref)
 }
 
-// delivery is one scheduled flight: at due, it arrives (and posts a poll
-// event on some loop).
+// delivery is one scheduled flight: at its due time at (on the clock's
+// Nanos time line), it arrives (and posts a poll event on some loop).
 type delivery struct {
-	due time.Time
+	at  int64
 	seq uint64
 	flight
 }
 
+// deliveryHeap is a binary min-heap of deliveries on (at, seq), typed to
+// its entries. seq is unique per trial, so the order is total.
 type deliveryHeap []*delivery
 
-func (h deliveryHeap) Len() int { return len(h) }
-func (h deliveryHeap) Less(i, j int) bool {
-	if !h[i].due.Equal(h[j].due) {
-		return h[i].due.Before(h[j].due)
-	}
-	return h[i].seq < h[j].seq
+func (d *delivery) before(e *delivery) bool {
+	return d.at < e.at || d.at == e.at && d.seq < e.seq
 }
-func (h deliveryHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *deliveryHeap) Push(x any)   { *h = append(*h, x.(*delivery)) }
-func (h *deliveryHeap) Pop() any {
-	old := *h
-	n := len(old)
-	d := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return d
+
+func (h *deliveryHeap) push(d *delivery) {
+	*h = append(*h, d)
+	q := *h
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !d.before(q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = d
+}
+
+// pop removes and returns the earliest delivery; h must not be empty.
+func (h *deliveryHeap) pop() *delivery {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	d := q[n]
+	q[n] = nil
+	q = q[:n]
+	*h = q
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(q[c]) {
+			c = r
+		}
+		if !q[c].before(d) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	q[i] = d
+	return top
 }
 
 // engine is the network's delivery participant: a time-ordered heap of
@@ -87,11 +120,12 @@ func newEngine(clk vclock.Clock) *engine {
 }
 
 // schedule queues f to arrive after delay, but never before notBefore
-// (which enforces per-connection FIFO). It returns the actual due time so
-// callers can thread it as the next notBefore.
-func (e *engine) schedule(delay time.Duration, notBefore time.Time, f flight) time.Time {
-	due := e.clk.Now().Add(delay)
-	if due.Before(notBefore) {
+// (which enforces per-connection FIFO). Both due times are readings of the
+// clock's Nanos. It returns the actual due time so callers can thread it as
+// the next notBefore.
+func (e *engine) schedule(delay time.Duration, notBefore int64, f flight) int64 {
+	due := vclock.AddNanos(e.clk.Nanos(), delay)
+	if due < notBefore {
 		due = notBefore
 	}
 	e.mu.Lock()
@@ -108,8 +142,8 @@ func (e *engine) schedule(delay time.Duration, notBefore time.Time, f flight) ti
 	} else {
 		d = &delivery{}
 	}
-	d.due, d.seq, d.flight = due, e.seq, f
-	heap.Push(&e.heap, d)
+	d.at, d.seq, d.flight = due, e.seq, f
+	e.heap.push(d)
 	e.mu.Unlock()
 	e.proc.Notify(true)
 	return due
@@ -166,11 +200,11 @@ func (e *engine) step() vclock.Wait {
 			return vclock.Park()
 		}
 		next := e.heap[0]
-		if wait := next.due.Sub(e.clk.Now()); wait > 0 {
+		if wait := next.at - e.clk.Nanos(); wait > 0 {
 			e.mu.Unlock()
-			return vclock.After(wait)
+			return vclock.After(time.Duration(wait))
 		}
-		heap.Pop(&e.heap)
+		e.heap.pop()
 		e.mu.Unlock()
 		next.arrive()
 		fired = next

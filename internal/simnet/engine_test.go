@@ -29,9 +29,9 @@ func TestEngineFiresInDueOrder(t *testing.T) {
 		}
 	}
 	// Scheduled out of order; must fire in due order.
-	e.schedule(9*time.Millisecond, time.Time{}, call(record(3)))
-	e.schedule(3*time.Millisecond, time.Time{}, call(record(1)))
-	e.schedule(6*time.Millisecond, time.Time{}, call(record(2)))
+	e.schedule(9*time.Millisecond, 0, call(record(3)))
+	e.schedule(3*time.Millisecond, 0, call(record(1)))
+	e.schedule(6*time.Millisecond, 0, call(record(2)))
 	wg.Wait()
 	mu.Lock()
 	defer mu.Unlock()
@@ -43,15 +43,15 @@ func TestEngineFiresInDueOrder(t *testing.T) {
 func TestEngineNotBeforeRaisesDue(t *testing.T) {
 	e := newEngine(nil)
 	defer e.close()
-	notBefore := time.Now().Add(20 * time.Millisecond)
-	fired := make(chan time.Time, 1)
-	due := e.schedule(time.Millisecond, notBefore, call(func() { fired <- time.Now() }))
-	if due.Before(notBefore) {
+	notBefore := e.clk.Nanos() + int64(20*time.Millisecond)
+	fired := make(chan int64, 1)
+	due := e.schedule(time.Millisecond, notBefore, call(func() { fired <- e.clk.Nanos() }))
+	if due < notBefore {
 		t.Fatalf("due %v before notBefore %v", due, notBefore)
 	}
 	select {
 	case at := <-fired:
-		if at.Before(notBefore) {
+		if at < notBefore {
 			t.Fatalf("fired at %v, before notBefore %v", at, notBefore)
 		}
 	case <-time.After(5 * time.Second):
@@ -62,7 +62,7 @@ func TestEngineNotBeforeRaisesDue(t *testing.T) {
 func TestEngineCloseDropsPending(t *testing.T) {
 	e := newEngine(nil)
 	fired := false
-	e.schedule(50*time.Millisecond, time.Time{}, call(func() { fired = true }))
+	e.schedule(50*time.Millisecond, 0, call(func() { fired = true }))
 	e.close()
 	e.close() // idempotent
 	time.Sleep(80 * time.Millisecond)
@@ -70,7 +70,7 @@ func TestEngineCloseDropsPending(t *testing.T) {
 		t.Fatal("delivery fired after close")
 	}
 	// schedule after close is a no-op, not a panic
-	e.schedule(time.Millisecond, time.Time{}, call(func() { fired = true }))
+	e.schedule(time.Millisecond, 0, call(func() { fired = true }))
 	time.Sleep(10 * time.Millisecond)
 	if fired {
 		t.Fatal("delivery fired on closed engine")
@@ -80,7 +80,7 @@ func TestEngineCloseDropsPending(t *testing.T) {
 func TestEngineTieBreakBySequence(t *testing.T) {
 	e := newEngine(nil)
 	defer e.close()
-	due := time.Now().Add(5 * time.Millisecond)
+	due := e.clk.Nanos() + int64(5*time.Millisecond)
 	var mu sync.Mutex
 	var order []int
 	var wg sync.WaitGroup
@@ -111,7 +111,7 @@ func TestEngineHighVolume(t *testing.T) {
 	var wg sync.WaitGroup
 	wg.Add(n)
 	for i := 0; i < n; i++ {
-		e.schedule(time.Duration(i%7)*time.Millisecond, time.Time{}, call(wg.Done))
+		e.schedule(time.Duration(i%7)*time.Millisecond, 0, call(wg.Done))
 	}
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()

@@ -68,6 +68,12 @@ type Network struct {
 	rng       *rand.Rand
 	listeners map[string]*Listener
 	connSeq   uint64
+	// pairs lists the endpoint pairs of every connection number the network
+	// has used, in number order (linked by next, ending at lastPair): the
+	// pair of connection k serves connection k again in every later trial,
+	// names and bound callbacks included. reuse is the pair the next Dial
+	// takes; nil means the next Dial builds a new one.
+	pairs, lastPair, reuse *connPair
 	// parts maps a loop to its partition group. Loops in different groups
 	// cannot exchange traffic; an unmapped loop (a client, a control loop)
 	// reaches everyone. Nil when the network is healed.
@@ -101,7 +107,10 @@ func (n *Network) Close() { n.engine.close() }
 // New(cfg): the latency sampler reseeds in place (bit-identical to a fresh
 // rand source), listeners and connection numbering rewind, and the delivery
 // engine respawns. cfg.Clock must be the clock the network was built with —
-// the engine is a participant of it.
+// the engine is a participant of it. The previous trial's connections are
+// retired for reuse: connection k of the new trial is built on the
+// endpoints of connection k of earlier ones, so no Conn of a trial may be
+// used after the network is Reset.
 func (n *Network) Reset(cfg Config) {
 	if cfg.MinLatency <= 0 {
 		cfg.MinLatency = 50 * time.Microsecond
@@ -117,6 +126,7 @@ func (n *Network) Reset(cfg Config) {
 	n.rng.Seed(cfg.Seed)
 	clear(n.listeners)
 	n.connSeq = 0
+	n.reuse = n.pairs
 	n.parts = nil
 	n.mu.Unlock()
 	n.engine.restart()
@@ -239,16 +249,53 @@ type Conn struct {
 	onData        func([]byte)
 	onClose       func()
 	closed        bool
-	sendNotBefore time.Time
+	sendNotBefore int64 // due time of this direction's latest flight
 }
 
-// newConn builds the endpoint of connection seq on loop; side is ":client"
-// or ":server".
-func (n *Network) newConn(loop *eventloop.Loop, seq uint64, side string) *Conn {
-	name := "conn" + strconv.FormatUint(seq, 10) + side
-	c := &Conn{net: n, loop: loop, src: loop.NewSource(name), name: name}
-	c.recv, c.fin = c.receive, c.closedByPeer
-	c.mu.Bind(n.cfg.Clock)
+// connPair holds the two endpoints of one connection number. A network
+// keeps its pairs across trials (see Network.Reset), so an arena trial
+// builds no endpoint.
+type connPair struct {
+	client, server Conn
+	next           *connPair
+}
+
+// nextPair numbers a new connection and returns its endpoint pair: the
+// pair that served the number in an earlier trial, or a new one.
+func (n *Network) nextPair() *connPair {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.connSeq++
+	if p := n.reuse; p != nil {
+		n.reuse = p.next
+		return p
+	}
+	p := new(connPair)
+	// Both names share one string: "conn3:clientconn3:server".
+	num := strconv.FormatUint(n.connSeq, 10)
+	names := "conn" + num + ":client" + "conn" + num + ":server"
+	p.client.name, p.server.name = names[:len(names)/2], names[len(names)/2:]
+	p.client.net, p.server.net = n, n
+	p.client.mu.Bind(n.cfg.Clock)
+	p.server.mu.Bind(n.cfg.Clock)
+	if n.lastPair == nil {
+		n.pairs = p
+	} else {
+		n.lastPair.next = p
+	}
+	n.lastPair = p
+	return p
+}
+
+// open readies endpoint c of a connection on loop for a trial: the fields a
+// trial sets start from zero, and the loop callbacks are bound on the
+// endpoint's first use.
+func (c *Conn) open(loop *eventloop.Loop) *Conn {
+	c.loop, c.src = loop, loop.NewSource(c.name)
+	c.peer, c.onData, c.onClose, c.closed, c.sendNotBefore = nil, nil, nil, false, 0
+	if c.recv == nil {
+		c.recv, c.fin = c.receive, c.closedByPeer
+	}
 	return c
 }
 
@@ -282,14 +329,10 @@ func (c *Conn) Closed() bool {
 // the client's connect callback, as with TCP's handshake.
 func (n *Network) Dial(loop *eventloop.Loop, addr string, onConnect func(*Conn, error)) {
 	dialRef := n.probeRef()
-	n.mu.Lock()
-	n.connSeq++
-	seq := n.connSeq
-	n.mu.Unlock()
+	pair := n.nextPair()
+	client := pair.client.open(loop)
 
-	client := n.newConn(loop, seq, ":client")
-
-	n.engine.schedule(n.latency(), time.Time{}, flight{op: opCall, fn: func(oracle.Ref) {
+	n.engine.schedule(n.latency(), 0, flight{op: opCall, fn: func(oracle.Ref) {
 		n.mu.Lock()
 		ln := n.listeners[addr]
 		refused := ln == nil || ln.closed
@@ -306,7 +349,7 @@ func (n *Network) Dial(loop *eventloop.Loop, addr string, onConnect func(*Conn, 
 			})
 			return
 		}
-		server := n.newConn(ln.loop, seq, ":server")
+		server := pair.server.open(ln.loop)
 		client.mu.Lock()
 		client.peer = server
 		client.mu.Unlock()
@@ -377,7 +420,7 @@ func (c *Conn) scheduleOut(f flight) {
 	}
 	due := c.net.engine.schedule(delay, notBefore, f)
 	c.mu.Lock()
-	if due.After(c.sendNotBefore) {
+	if due > c.sendNotBefore {
 		c.sendNotBefore = due
 	}
 	c.mu.Unlock()

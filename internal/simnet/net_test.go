@@ -3,10 +3,12 @@ package simnet
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
 	"nodefz/internal/eventloop"
+	"nodefz/internal/vclock"
 )
 
 func runLoop(t *testing.T, l *eventloop.Loop) {
@@ -277,4 +279,71 @@ func TestDataAfterLocalCloseIsDropped(t *testing.T) {
 		c.OnClose(func() { ln.Close(nil) })
 	})
 	runLoop(t, l)
+}
+
+// TestResetReusesEndpoints: a reset network builds connection k of its next
+// trial on the endpoints that served connection k before, names included,
+// and the trial runs exactly as the first one did: every endpoint starts
+// open, with no peer, handlers or FIFO horizon left over.
+func TestResetReusesEndpoints(t *testing.T) {
+	clk := vclock.NewVirtual()
+	l := eventloop.New(eventloop.Options{Clock: clk})
+	cfg := Config{Seed: 3, Clock: clk}
+	n := New(cfg)
+	trial := func() (log []string, conns []*Conn) {
+		ln, err := n.Listen(l, "srv", func(c *Conn) {
+			conns = append(conns, c)
+			c.OnData(func(msg []byte) {
+				log = append(log, fmt.Sprintf("%s got %s at %d", c.Name(), msg, clk.Nanos()))
+				c.Close()
+			})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		left := 2
+		for i := 0; i < 2; i++ {
+			n.Dial(l, "srv", func(c *Conn, err error) {
+				if err != nil {
+					t.Fatal(err)
+				}
+				conns = append(conns, c)
+				c.OnClose(func() {
+					log = append(log, fmt.Sprintf("%s closed at %d", c.Name(), clk.Nanos()))
+					if left--; left == 0 {
+						ln.Close(nil)
+					}
+				})
+				if err := c.Send([]byte(c.Name())); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if err := l.Run(); err != nil {
+			t.Fatal(err)
+		}
+		n.Close()
+		return log, conns
+	}
+	log1, conns1 := trial()
+	clk.Reset()
+	l.Reset()
+	l.RestartPool()
+	n.Reset(cfg)
+	log2, conns2 := trial()
+	if fmt.Sprint(log2) != fmt.Sprint(log1) {
+		t.Fatalf("the reset trial ran differently\nfirst %v\nreset %v", log1, log2)
+	}
+	if len(conns1) != 4 || !slices.Equal(conns2, conns1) {
+		t.Fatalf("the reset trial built new endpoints: %v, then %v", conns1, conns2)
+	}
+	names := map[string]bool{}
+	for _, c := range conns2 {
+		names[c.Name()] = true
+	}
+	for _, want := range []string{"conn1:client", "conn1:server", "conn2:client", "conn2:server"} {
+		if !names[want] {
+			t.Fatalf("no endpoint named %s among %v", want, names)
+		}
+	}
 }

@@ -70,13 +70,10 @@ type Proc struct {
 	v    *Virtual // nil on every other clock: wall semantics
 
 	// Virtual state, touched only by the goroutine driving v.
-	state    procState
-	token    token
-	group    *Group // the group Spawn counted p into, until p exits
-	deadline time.Time
-	dpri     int
-	dseq     uint64
-	hidx     int // index in v.deadlines; -1 when no deadline is pending
+	state procState
+	token token
+	group *Group // the group Spawn counted p into, until p exits
+	hidx  int    // slot of p's entry in v.deadlines; -1 when none is pending
 
 	// Wall state.
 	ch    chan struct{} // the token
@@ -84,9 +81,12 @@ type Proc struct {
 }
 
 // Init binds p to clk and step. pri orders p's After deadlines among equal
-// deadlines: lower first. The runtime uses 0 for loops, 1 for pool workers
-// and 2 for the network engine.
+// deadlines: lower first; it must lie in [0, 255]. The runtime uses 0 for
+// loops, 1 for pool workers and 2 for the network engine.
 func (p *Proc) Init(clk Clock, pri int, step func() Wait) {
+	if pri < 0 || pri > 255 {
+		panic("vclock: participant priority outside [0, 255]")
+	}
 	p.step, p.pri, p.hidx = step, pri, -1
 	if v, ok := clk.(*Virtual); ok {
 		p.v = v

@@ -28,20 +28,18 @@
 // the run queue, and by the deadline heap. The Go scheduler has no say.
 package vclock
 
-import (
-	"container/heap"
-	"time"
-)
+import "time"
 
 // Clock abstracts the runtime's use of time. Wall is the zero-cost
 // pass-through; Virtual simulates.
 type Clock interface {
 	// Now returns the current (real or simulated) time.
 	Now() time.Time
-	// Since is Now().Sub(t).
-	Since(t time.Time) time.Duration
-	// Until is t.Sub(Now()).
-	Until(t time.Time) time.Duration
+	// Nanos reads the clock in nanoseconds on its own monotonic time line:
+	// since the epoch under Virtual, since process start under Wall. The
+	// runtime keys its deadlines (timers, deliveries, lookahead fills) on
+	// it, so ordering them is integer comparison.
+	Nanos() int64
 	// Charge accounts d of busy CPU time to the running step: under the
 	// virtual clock, simulated time advances by d immediately, without
 	// letting any other step run. Deadlines that d skips over fire late,
@@ -57,10 +55,13 @@ type Clock interface {
 // every spawned participant runs on a goroutine of its own.
 type Wall struct{}
 
-func (Wall) Now() time.Time                  { return time.Now() }
-func (Wall) Since(t time.Time) time.Duration { return time.Since(t) }
-func (Wall) Until(t time.Time) time.Duration { return time.Until(t) }
-func (Wall) Charge(d time.Duration)          { time.Sleep(d) }
+// wallStart is the origin of Wall.Nanos. time.Since reads the monotonic
+// clock, so wall deadlines keep monotonic order.
+var wallStart = time.Now()
+
+func (Wall) Now() time.Time         { return time.Now() }
+func (Wall) Nanos() int64           { return int64(time.Since(wallStart)) }
+func (Wall) Charge(d time.Duration) { time.Sleep(d) }
 
 // ---------------------------------------------------------------------------
 // Virtual
@@ -74,14 +75,15 @@ var epoch = time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC)
 // trial up on it or drives it (see Proc.Run and Join), so it needs no
 // locking. The zero value is not usable; call NewVirtual.
 type Virtual struct {
-	now time.Time
+	// now is the simulated time in nanoseconds since the epoch.
+	now int64
 	// runq[qhead:] is the FIFO of runnable participants. Popping advances
 	// qhead instead of re-slicing, so the backing array is reused once the
 	// queue has reached its high-water mark.
 	runq  []*Proc
 	qhead int
 	// deadlines holds every pending deadline, at most one per participant.
-	deadlines deadlineHeap
+	deadlines []deadline
 	seq       uint64
 	// driving is set while a goroutine runs steps: Run and Join must not be
 	// called from inside a step.
@@ -89,37 +91,36 @@ type Virtual struct {
 }
 
 // NewVirtual returns a virtual clock at the epoch with nothing to run.
-func NewVirtual() *Virtual { return &Virtual{now: epoch} }
+func NewVirtual() *Virtual { return &Virtual{} }
 
 // Reset rewinds the clock to the epoch for the next trial of an arena: time,
 // the deadline sequence, the run queue and the pending deadlines all return
 // to their just-constructed values. The caller must guarantee quiescence
 // first: every participant has exited (or is abandoned for good).
 func (v *Virtual) Reset() {
-	v.now = epoch
+	v.now = 0
 	clear(v.runq)
 	v.runq = v.runq[:0]
 	v.qhead = 0
 	// Stray deadlines (a force-stopped trial can abandon waits) are dropped;
 	// their owners see them as no longer pending.
-	for _, p := range v.deadlines {
-		p.hidx = -1
+	for _, e := range v.deadlines {
+		e.p.hidx = -1
 	}
 	clear(v.deadlines)
 	v.deadlines = v.deadlines[:0]
 	v.seq = 0
 }
 
-func (v *Virtual) Now() time.Time                  { return v.now }
-func (v *Virtual) Since(t time.Time) time.Duration { return v.now.Sub(t) }
-func (v *Virtual) Until(t time.Time) time.Duration { return t.Sub(v.now) }
+func (v *Virtual) Now() time.Time { return epoch.Add(time.Duration(v.now)) }
+func (v *Virtual) Nanos() int64   { return v.now }
 
 // Charge advances simulated time by d on the spot. Deadlines that the jump
 // passes over become overdue and run, in order, once the run queue is next
 // empty.
 func (v *Virtual) Charge(d time.Duration) {
 	if d > 0 {
-		v.now = v.now.Add(d)
+		v.now = AddNanos(v.now, d)
 	}
 }
 
@@ -169,11 +170,11 @@ func (v *Virtual) next() *Proc {
 	if len(v.deadlines) == 0 {
 		panic("vclock: virtual deadlock: nothing runnable and no pending deadline")
 	}
-	p := heap.Pop(&v.deadlines).(*Proc)
-	if p.deadline.After(v.now) {
-		v.now = p.deadline
+	e := v.popDeadline()
+	if e.at > v.now {
+		v.now = e.at
 	}
-	return p
+	return e.p
 }
 
 // setDeadline files p's deadline d from now; pri breaks ties between equal
@@ -182,47 +183,114 @@ func (v *Virtual) setDeadline(p *Proc, d time.Duration, pri int) {
 	if d < 0 {
 		d = 0
 	}
-	p.deadline, p.dpri, p.dseq = v.now.Add(d), pri, v.seq
+	e := deadline{at: AddNanos(v.now, d), tie: uint64(pri)<<tieSeqBits | v.seq, p: p}
 	v.seq++
-	heap.Push(&v.deadlines, p)
+	v.pushDeadline(e)
 }
 
 // clearDeadline withdraws p's pending deadline, if any.
 func (v *Virtual) clearDeadline(p *Proc) {
 	if p.hidx >= 0 {
-		heap.Remove(&v.deadlines, p.hidx)
+		v.removeDeadline(p.hidx)
 	}
 }
 
-// deadlineHeap orders participants by (deadline, priority, creation).
-type deadlineHeap []*Proc
+// AddNanos is the Nanos reading d after t, saturating instead of wrapping
+// past the end of time.
+func AddNanos(t int64, d time.Duration) int64 {
+	if s := t + int64(d); s >= t {
+		return s
+	}
+	return 1<<63 - 1
+}
 
-func (h deadlineHeap) Len() int { return len(h) }
-func (h deadlineHeap) Less(i, j int) bool {
-	if !h[i].deadline.Equal(h[j].deadline) {
-		return h[i].deadline.Before(h[j].deadline)
+// deadline is one pending entry of the deadline heap: participant p runs at
+// at, ties broken by tie, which holds the deadline's priority in its top
+// byte and its creation order below. Ordering on (at, tie) is ordering on
+// (deadline, priority, creation), and every tie is distinct.
+type deadline struct {
+	at  int64
+	tie uint64
+	p   *Proc
+}
+
+// tieSeqBits is the width of a tie's creation-order field.
+const tieSeqBits = 56
+
+func (d *deadline) before(e *deadline) bool {
+	return d.at < e.at || d.at == e.at && d.tie < e.tie
+}
+
+// The deadline heap is a binary min-heap on (at, tie), typed to its
+// entries; each move keeps its participant's hidx at the entry's slot.
+
+func (v *Virtual) pushDeadline(e deadline) {
+	h := append(v.deadlines, e)
+	v.deadlines = h
+	v.siftUp(len(h) - 1)
+}
+
+// popDeadline removes and returns the earliest deadline. The heap must not
+// be empty.
+func (v *Virtual) popDeadline() deadline {
+	top := v.deadlines[0]
+	v.removeDeadline(0)
+	return top
+}
+
+// removeDeadline withdraws the entry at slot i: the last entry takes its
+// slot and sifts to its place.
+func (v *Virtual) removeDeadline(i int) {
+	h := v.deadlines
+	h[i].p.hidx = -1
+	n := len(h) - 1
+	h[i] = h[n]
+	h[n] = deadline{}
+	v.deadlines = h[:n]
+	if i < n && !v.siftDown(i) {
+		v.siftUp(i)
 	}
-	if h[i].dpri != h[j].dpri {
-		return h[i].dpri < h[j].dpri
+}
+
+func (v *Virtual) siftUp(i int) {
+	h := v.deadlines
+	e := h[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(&h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		h[i].p.hidx = i
+		i = parent
 	}
-	return h[i].dseq < h[j].dseq
+	h[i] = e
+	e.p.hidx = i
 }
-func (h deadlineHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].hidx = i
-	h[j].hidx = j
-}
-func (h *deadlineHeap) Push(x any) {
-	p := x.(*Proc)
-	p.hidx = len(*h)
-	*h = append(*h, p)
-}
-func (h *deadlineHeap) Pop() any {
-	old := *h
-	n := len(old)
-	p := old[n-1]
-	old[n-1] = nil
-	p.hidx = -1
-	*h = old[:n-1]
-	return p
+
+// siftDown moves the entry at slot i down to its place and reports whether
+// it moved.
+func (v *Virtual) siftDown(i int) bool {
+	h := v.deadlines
+	n := len(h)
+	e := h[i]
+	start := i
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(&h[c]) {
+			c = r
+		}
+		if !h[c].before(&e) {
+			break
+		}
+		h[i] = h[c]
+		h[i].p.hidx = i
+		i = c
+	}
+	h[i] = e
+	e.p.hidx = i
+	return i > start
 }

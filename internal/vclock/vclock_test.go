@@ -31,7 +31,7 @@ type logger struct {
 
 func (l *logger) at(name string, w Wait) func() Wait {
 	return func() Wait {
-		l.log = append(l.log, fmt.Sprintf("%s@%v", name, l.v.Since(epoch)))
+		l.log = append(l.log, fmt.Sprintf("%s@%v", name, time.Duration(l.v.Nanos())))
 		return w
 	}
 }
@@ -60,13 +60,13 @@ func mustPanic(t *testing.T, substr string, fn func()) {
 // TestWallDelegates sanity-checks the Wall pass-through.
 func TestWallDelegates(t *testing.T) {
 	var c Clock = Wall{}
-	t0 := c.Now()
+	t0, n0 := c.Now(), c.Nanos()
 	c.Charge(time.Millisecond)
-	if c.Since(t0) < time.Millisecond {
-		t.Fatalf("Wall.Charge(1ms) advanced only %v", c.Since(t0))
+	if d := time.Since(t0); d < time.Millisecond {
+		t.Fatalf("Wall.Charge(1ms) advanced only %v", d)
 	}
-	if c.Until(t0) > 0 {
-		t.Fatal("Wall.Until of a past instant is positive")
+	if d := time.Duration(c.Nanos() - n0); d < time.Millisecond {
+		t.Fatalf("Wall.Nanos advanced only %v over a 1ms Charge", d)
 	}
 }
 
@@ -126,7 +126,7 @@ func TestVirtualGrantVeto(t *testing.T) {
 	var busy Proc
 	n := 0
 	busy.Init(v, 0, func() Wait {
-		if got := v.Since(epoch); got != 0 {
+		if got := time.Duration(v.Nanos()); got != 0 {
 			t.Fatalf("time moved to %v while a step was runnable", got)
 		}
 		if n < 100 {
@@ -195,7 +195,7 @@ func TestVirtualConcurrentSleepers(t *testing.T) {
 	if woke != n {
 		t.Fatalf("%d sleepers woke, want %d", woke, n)
 	}
-	if got := v.Since(epoch); got != n*10*time.Millisecond {
+	if got := time.Duration(v.Nanos()); got != n*10*time.Millisecond {
 		t.Fatalf("final virtual time %v, want %v", got, n*10*time.Millisecond)
 	}
 }
@@ -368,7 +368,7 @@ func TestWakeupWall(t *testing.T) {
 	if got := parity(v); !reflect.DeepEqual(got, want) {
 		t.Fatalf("virtual: %v, want %v", got, want)
 	}
-	if got := v.Since(epoch); got != 2*time.Millisecond {
+	if got := time.Duration(v.Nanos()); got != 2*time.Millisecond {
 		t.Fatalf("virtual time %v, want 2ms", got)
 	}
 	start := time.Now()
