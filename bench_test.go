@@ -724,6 +724,28 @@ func BenchmarkJournalAppend(b *testing.B) {
 	}
 }
 
+// BenchmarkLoadJournal measures reading a checkpoint journal back: the
+// load half of a resume. The journal is a 200-trial SIO coverage campaign's
+// (trial, coverage and minimized records, ~107 KB), written once before
+// the timer starts.
+func BenchmarkLoadJournal(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "journal.jsonl")
+	if _, err := campaign.Run(campaign.Config{
+		App: bugs.ByAbbr("SIO"), Trials: 200, Workers: 1, BaseSeed: 3,
+		Coverage: true, CheckpointPath: path,
+	}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := campaign.LoadJournal(path)
+		if err != nil || len(st.Trials) != 200 {
+			b.Fatalf("LoadJournal: %d trials, %v", len(st.Trials), err)
+		}
+	}
+}
+
 // BenchmarkFleetSlice measures one meta-scheduler step — an allocation
 // decision plus its granted slice of virtual-time trials — against a warm
 // three-campaign fleet. This is the unit of work fzfleet repeats until the

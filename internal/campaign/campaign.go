@@ -524,13 +524,13 @@ func (c *Campaign) runTrial(i int, w *world) trialStatus {
 		return trialErrored
 	}
 
-	types := rec.Types()
+	types := sched.Truncate(rec.Types(), cfg.ScheduleTruncate)
 	var cov *oracle.CoverageDigest
 	if cfg.Coverage {
 		d := tracker.Coverage()
 		cov = &d
 	}
-	adm := c.corpus.AdmitWithCoverage(sched.Truncate(types, cfg.ScheduleTruncate), cov)
+	adm := c.corpus.AdmitWithCoverage(types, cov)
 	violations := tracker.Reports()
 	var reward float64
 	switch {
@@ -565,14 +565,14 @@ func (c *Campaign) runTrial(i int, w *world) trialStatus {
 		Novelty:     adm.Novelty,
 		Admitted:    adm.Admitted,
 		Duplicate:   adm.Duplicate,
-		Digest:      sched.DigestString(sched.Digest(sched.Truncate(types, cfg.ScheduleTruncate))),
+		Digest:      sched.DigestString(adm.Digest),
 		Reward:      reward,
 		ElapsedMS:   elapsed.Milliseconds(),
 		Violations:  len(violations),
 		NewCoverage: adm.CoverageNew,
 	}
 	if adm.Admitted {
-		entry.Schedule = sched.Truncate(types, cfg.ScheduleTruncate)
+		entry.Schedule = types
 	}
 	var covEntry *CoverageEntry
 	if cfg.Coverage && (len(adm.NewPairs) > 0 || adm.NewHB || len(adm.NewTuples) > 0) {
@@ -634,7 +634,7 @@ func (c *Campaign) runTrial(i int, w *world) trialStatus {
 			Manifested:  out.Manifested,
 			Note:        out.Note,
 			Metrics:     reg.Snapshot(),
-			Schedule:    sched.Truncate(types, cfg.ScheduleTruncate),
+			Schedule:    types,
 			NewCoverage: adm.CoverageNew,
 		})
 	}

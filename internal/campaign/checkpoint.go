@@ -138,11 +138,12 @@ func (s *JournalState) Watermark() int {
 // file is an error, because records after it may silently be lost.
 func LoadJournal(path string) (*JournalState, error) {
 	st := &JournalState{Trials: make(map[int]TrialEntry)}
+	var dec journalDecoder
 	torn, err := jsonl.Scan(path, "campaign", func(typ string, line []byte) (bool, error) {
 		switch typ {
 		case "trial":
-			var e TrialEntry
-			if err := json.Unmarshal(line, &e); err != nil {
+			e, err := dec.trial(line)
+			if err != nil {
 				return true, err
 			}
 			st.Trials[e.Trial] = e
@@ -153,8 +154,8 @@ func LoadJournal(path string) (*JournalState, error) {
 			}
 			st.Minimized = append(st.Minimized, e)
 		case "coverage":
-			var e CoverageEntry
-			if err := json.Unmarshal(line, &e); err != nil {
+			e, err := dec.coverage(line)
+			if err != nil {
 				return true, err
 			}
 			st.Coverage = append(st.Coverage, e)

@@ -109,6 +109,9 @@ type Admission struct {
 	Duplicate bool
 	// Evicted is true when admission displaced an existing member.
 	Evicted bool
+	// Digest is the sched.Digest of the offered schedule's truncated
+	// prefix, the one duplicate detection compares.
+	Digest uint64
 
 	// NewPairs / NewTuples are the trial's coverage items never seen
 	// campaign-wide before this offer; NewHB is true when the trial's
@@ -257,7 +260,7 @@ func (c *Corpus) offer(types []string, cov *oracle.CoverageDigest, replay bool) 
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var adm Admission
+	adm := Admission{Digest: d}
 	if cov != nil {
 		c.foldCoverageLocked(cov, &adm)
 	}

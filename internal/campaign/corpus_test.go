@@ -128,10 +128,15 @@ func TestCorpusTruncationBoundsComparison(t *testing.T) {
 	c := NewCorpus(0.1, 4, 3)
 	long1 := []string{"a", "b", "c", "d", "e"}
 	long2 := []string{"a", "b", "c", "x", "y"} // same truncated prefix
-	c.AdmitWithCoverage(long1, nil)
+	first := c.AdmitWithCoverage(long1, nil)
 	adm := c.AdmitWithCoverage(long2, nil)
 	if !adm.Duplicate {
 		t.Fatalf("schedules equal after truncation must be duplicates: %+v", adm)
+	}
+	// The digest an admission reports is the truncated prefix's, whether
+	// the offer was admitted or a duplicate.
+	if want := sched.Digest(long1[:3]); first.Digest != want || adm.Digest != want {
+		t.Fatalf("Admission.Digest = %x, %x; want %x", first.Digest, adm.Digest, want)
 	}
 	for _, s := range c.Schedules() {
 		if len(s) > 3 {

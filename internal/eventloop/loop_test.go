@@ -98,7 +98,7 @@ func TestTimerStopPreventsFiring(t *testing.T) {
 	if fired {
 		t.Fatal("stopped timer fired")
 	}
-	if !tm.Stopped() {
+	if !tm.stopped {
 		t.Fatal("timer does not report stopped")
 	}
 }

@@ -48,10 +48,6 @@ func (t *Timer) Unref() {
 	}
 }
 
-// Stopped reports whether the timer has been stopped (or, for a one-shot
-// timer, has fired).
-func (t *Timer) Stopped() bool { return t.stopped }
-
 // timerHeap orders timers by (at, seq): the undocumented-but-relied-on
 // {timeout, registration} callback ordering that libuv implements and
 // Node.fz preserves via short-circuiting (§4.3.4). It is a binary min-heap

@@ -94,7 +94,7 @@ func runFuzzTimers(t *testing.T, specs []fuzzTimer) []firing {
 		t.Fatal(err)
 	}
 	for i, tm := range timers {
-		if !tm.Stopped() {
+		if !tm.stopped {
 			t.Fatalf("timer %d is still live after Run", i)
 		}
 	}

@@ -193,95 +193,3 @@ func (c *Client) HGet(key, field string, cb func(val string, ok bool, err error)
 		}
 	})
 }
-
-// HGetAll fetches the whole hash at key.
-func (c *Client) HGetAll(key string, cb func(map[string]string, error)) {
-	c.Do(OpHGetAll, []string{key}, func(r Reply) {
-		if cb == nil {
-			return
-		}
-		if r.Err != nil {
-			cb(nil, r.Err)
-			return
-		}
-		m, err := DecodeMap(r.Val)
-		cb(m, err)
-	})
-}
-
-// HDel removes a hash field.
-func (c *Client) HDel(key, field string, cb func(error)) {
-	c.Do(OpHDel, []string{key, field}, func(r Reply) {
-		if cb != nil {
-			cb(r.Err)
-		}
-	})
-}
-
-// LPush prepends val to the list at key and reports the new length.
-func (c *Client) LPush(key, val string, cb func(n int, err error)) {
-	c.listPush(OpLPush, key, val, cb)
-}
-
-// RPush appends val to the list at key and reports the new length.
-func (c *Client) RPush(key, val string, cb func(n int, err error)) {
-	c.listPush(OpRPush, key, val, cb)
-}
-
-func (c *Client) listPush(op, key, val string, cb func(int, error)) {
-	c.Do(op, []string{key, val}, func(r Reply) {
-		if cb == nil {
-			return
-		}
-		n, _ := strconv.Atoi(r.Val)
-		cb(n, r.Err)
-	})
-}
-
-// LPop removes and returns the head of the list at key; ok is false when
-// the list is empty.
-func (c *Client) LPop(key string, cb func(val string, ok bool, err error)) {
-	c.Do(OpLPop, []string{key}, func(r Reply) {
-		if cb != nil {
-			cb(r.Val, r.OK, r.Err)
-		}
-	})
-}
-
-// LLen reports the list length at key.
-func (c *Client) LLen(key string, cb func(int, error)) {
-	c.Do(OpLLen, []string{key}, func(r Reply) {
-		if cb == nil {
-			return
-		}
-		n, _ := strconv.Atoi(r.Val)
-		cb(n, r.Err)
-	})
-}
-
-// LRange fetches list elements in [start, stop] (inclusive; negative
-// indices count from the end, à la Redis).
-func (c *Client) LRange(key string, start, stop int, cb func([]string, error)) {
-	c.Do(OpLRange, []string{key, strconv.Itoa(start), strconv.Itoa(stop)}, func(r Reply) {
-		if cb == nil {
-			return
-		}
-		if r.Err != nil {
-			cb(nil, r.Err)
-			return
-		}
-		list, err := DecodeList(r.Val)
-		cb(list, err)
-	})
-}
-
-// HLen reports the number of fields in the hash at key.
-func (c *Client) HLen(key string, cb func(int, error)) {
-	c.Do(OpHLen, []string{key}, func(r Reply) {
-		if cb == nil {
-			return
-		}
-		n, _ := strconv.Atoi(r.Val)
-		cb(n, r.Err)
-	})
-}

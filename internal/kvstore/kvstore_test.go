@@ -147,16 +147,11 @@ func TestHashOps(t *testing.T) {
 					if !ok || val != "v1" {
 						t.Errorf("hget = %q, %v", val, ok)
 					}
-					c.HGetAll("h", func(m map[string]string, err error) {
-						if err != nil || len(m) != 2 || m["f2"] != "v2" {
-							t.Errorf("hgetall = %v, %v", m, err)
+					c.HGet("h", "f3", func(val string, ok bool, _ error) {
+						if ok || val != "" {
+							t.Errorf("hget of a missing field = %q, %v", val, ok)
 						}
-						c.HLen("h", func(n int, _ error) {
-							if n != 2 {
-								t.Errorf("hlen = %d", n)
-							}
-							shutdown()
-						})
+						shutdown()
 					})
 				})
 			})
@@ -265,100 +260,6 @@ func TestUnknownOp(t *testing.T) {
 	})
 }
 
-func TestDecodeMap(t *testing.T) {
-	m, err := DecodeMap(`{"a":"1"}`)
-	if err != nil || m["a"] != "1" {
-		t.Fatalf("DecodeMap = %v, %v", m, err)
-	}
-	if m, err := DecodeMap(""); err != nil || len(m) != 0 {
-		t.Fatalf("empty DecodeMap = %v, %v", m, err)
-	}
-	if _, err := DecodeMap("{"); err == nil {
-		t.Fatal("bad JSON accepted")
-	}
-}
-
-func TestListOps(t *testing.T) {
-	env(t, 1, func(l *eventloop.Loop, c *Client, shutdown func()) {
-		c.RPush("q", "a", nil)
-		c.RPush("q", "b", nil)
-		c.LPush("q", "front", func(n int, err error) {
-			if n != 3 || err != nil {
-				t.Errorf("lpush n=%d err=%v", n, err)
-			}
-		})
-		c.LLen("q", func(n int, _ error) {
-			if n != 3 {
-				t.Errorf("llen = %d", n)
-			}
-		})
-		c.LRange("q", 0, -1, func(list []string, err error) {
-			if err != nil || len(list) != 3 || list[0] != "front" || list[2] != "b" {
-				t.Errorf("lrange = %v, %v", list, err)
-			}
-		})
-		c.LPop("q", func(val string, ok bool, _ error) {
-			if !ok || val != "front" {
-				t.Errorf("lpop = %q, %v", val, ok)
-			}
-			c.LPop("q", nil)
-			c.LPop("q", nil)
-			c.LPop("q", func(val string, ok bool, _ error) {
-				if ok {
-					t.Error("lpop on empty list reported ok")
-				}
-				shutdown()
-			})
-		})
-	})
-}
-
-func TestLRangeBounds(t *testing.T) {
-	env(t, 1, func(l *eventloop.Loop, c *Client, shutdown func()) {
-		for _, v := range []string{"0", "1", "2", "3"} {
-			c.RPush("r", v, nil)
-		}
-		c.LRange("r", 1, 2, func(list []string, err error) {
-			if err != nil || len(list) != 2 || list[0] != "1" || list[1] != "2" {
-				t.Errorf("mid range = %v, %v", list, err)
-			}
-		})
-		c.LRange("r", -2, -1, func(list []string, err error) {
-			if len(list) != 2 || list[0] != "2" {
-				t.Errorf("negative range = %v", list)
-			}
-		})
-		c.LRange("r", 5, 9, func(list []string, err error) {
-			if len(list) != 0 {
-				t.Errorf("out-of-bounds range = %v", list)
-			}
-		})
-		c.LRange("missing", 0, -1, func(list []string, err error) {
-			if len(list) != 0 || err != nil {
-				t.Errorf("missing list = %v, %v", list, err)
-			}
-			shutdown()
-		})
-	})
-}
-
-func TestHDel(t *testing.T) {
-	env(t, 1, func(l *eventloop.Loop, c *Client, shutdown func()) {
-		c.HSet("h", "f", "v", nil)
-		c.HDel("h", "f", func(err error) {
-			if err != nil {
-				t.Errorf("hdel: %v", err)
-			}
-			c.HGet("h", "f", func(_ string, ok bool, _ error) {
-				if ok {
-					t.Error("field survived hdel")
-				}
-				shutdown()
-			})
-		})
-	})
-}
-
 func TestAppendOp(t *testing.T) {
 	env(t, 1, func(l *eventloop.Loop, c *Client, shutdown func()) {
 		c.Do(OpAppend, []string{"log", "a"}, nil)
@@ -369,17 +270,4 @@ func TestAppendOp(t *testing.T) {
 			shutdown()
 		})
 	})
-}
-
-func TestDecodeList(t *testing.T) {
-	list, err := DecodeList(`["a","b"]`)
-	if err != nil || len(list) != 2 || list[1] != "b" {
-		t.Fatalf("DecodeList = %v, %v", list, err)
-	}
-	if l, err := DecodeList(""); err != nil || len(l) != 0 {
-		t.Fatalf("empty = %v, %v", l, err)
-	}
-	if _, err := DecodeList("["); err == nil {
-		t.Fatal("bad JSON accepted")
-	}
 }

@@ -12,38 +12,27 @@
 // reordering window is what the KUE/GHO/MGS bugs depend on.
 //
 // Requests and responses travel in the binary format of internal/wire (see
-// request and response below). The values of HGETALL and LRANGE replies are
-// JSON, decoded by DecodeMap and DecodeList.
+// request and response below).
 package kvstore
 
 import (
-	"encoding/json"
 	"errors"
-	"fmt"
 
 	"nodefz/internal/wire"
 )
 
 // Supported operations.
 const (
-	OpGet     = "GET"
-	OpSet     = "SET"
-	OpSetNX   = "SETNX" // args: key, val, ttl-ms ("0" = no expiry)
-	OpDel     = "DEL"
-	OpIncr    = "INCR"
-	OpAppend  = "APPEND"
-	OpExists  = "EXISTS"
-	OpHSet    = "HSET"
-	OpHGet    = "HGET"
-	OpHDel    = "HDEL"
-	OpHGetAll = "HGETALL"
-	OpHLen    = "HLEN"
-	OpLPush   = "LPUSH"
-	OpRPush   = "RPUSH"
-	OpLPop    = "LPOP"
-	OpLLen    = "LLEN"
-	OpLRange  = "LRANGE" // args: key, start, stop (inclusive, negatives from end)
-	OpPing    = "PING"
+	OpGet    = "GET"
+	OpSet    = "SET"
+	OpSetNX  = "SETNX" // args: key, val, ttl-ms ("0" = no expiry)
+	OpDel    = "DEL"
+	OpIncr   = "INCR"
+	OpAppend = "APPEND"
+	OpExists = "EXISTS"
+	OpHSet   = "HSET"
+	OpHGet   = "HGET"
+	OpPing   = "PING"
 )
 
 // request is one command, client -> server. On the wire: ID uvarint, Op
@@ -107,20 +96,9 @@ func decodeResponse(data []byte) (response, error) {
 	return resp, r.Done()
 }
 
-// encodeJSON encodes an HGETALL or LRANGE reply value.
-func encodeJSON(v any) []byte {
-	b, err := json.Marshal(v)
-	if err != nil {
-		// Maps and slices of strings marshal unconditionally; failure is a
-		// programming error.
-		panic(fmt.Sprintf("kvstore: marshal: %v", err))
-	}
-	return b
-}
-
 // Reply is the client-visible outcome of a command.
 type Reply struct {
-	// Val is the value payload (HGETALL encodes its map as JSON).
+	// Val is the value payload.
 	Val string
 	// OK is op-specific: key existed (GET/EXISTS/HGET), lock acquired
 	// (SETNX), field was new (HSET), ...
@@ -131,27 +109,3 @@ type Reply struct {
 
 // ErrClientClosed is reported for commands issued after Client.Close.
 var ErrClientClosed = errors.New("kvstore: client closed")
-
-// DecodeMap decodes an HGETALL reply value.
-func DecodeMap(val string) (map[string]string, error) {
-	m := make(map[string]string)
-	if val == "" {
-		return m, nil
-	}
-	if err := json.Unmarshal([]byte(val), &m); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// DecodeList decodes an LRANGE reply value.
-func DecodeList(val string) ([]string, error) {
-	var out []string
-	if val == "" {
-		return out, nil
-	}
-	if err := json.Unmarshal([]byte(val), &out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}

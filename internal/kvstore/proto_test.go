@@ -49,6 +49,10 @@ func TestMalformedRequestGetsBadRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The work model runs once for each decoded request, just before it is
+	// applied.
+	applied := 0
+	srv.SetWorkModel(func(string, []string) time.Duration { applied++; return 0 })
 	set := appendRequest(nil, request{ID: 7, Op: OpSet, Args: []string{"k", "v"}})
 	get := appendRequest(nil, request{ID: 8, Op: OpGet, Args: []string{"k"}})
 	sent := [][]byte{set[:len(set)-1], append(get, 0)}
@@ -92,7 +96,7 @@ func TestMalformedRequestGetsBadRequest(t *testing.T) {
 			t.Errorf("reply %d = %+v, want ID %d and a bad request error", i, r, want)
 		}
 	}
-	if srv.Requests() != 0 {
-		t.Errorf("server applied %d malformed requests", srv.Requests())
+	if _, ok := srv.strings["k"]; ok || applied != 0 {
+		t.Errorf("server applied %d malformed requests (k stored: %v)", applied, ok)
 	}
 }

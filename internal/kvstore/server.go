@@ -20,7 +20,6 @@ type Server struct {
 
 	strings map[string]string
 	hashes  map[string]map[string]string
-	lists   map[string][]string
 	expiry  map[string]int64 // deadlines, on the loop clock's Nanos time line
 
 	workModel func(op string, args []string) time.Duration
@@ -28,8 +27,7 @@ type Server struct {
 	probe      *oracle.Tracker
 	probeMatch func(key string) bool
 
-	requests int
-	buf      []byte // response encoding scratch; the server runs on one loop
+	buf []byte // response encoding scratch; the server runs on one loop
 }
 
 // SetWorkModel installs a per-query service-time model: the reply to a
@@ -61,7 +59,6 @@ func NewServer(loop *eventloop.Loop, net *simnet.Network, addr string) (*Server,
 		loop:    loop,
 		strings: make(map[string]string),
 		hashes:  make(map[string]map[string]string),
-		lists:   make(map[string][]string),
 		expiry:  make(map[string]int64),
 	}
 	ln, err := net.Listen(loop, addr, s.accept)
@@ -75,9 +72,6 @@ func NewServer(loop *eventloop.Loop, net *simnet.Network, addr string) (*Server,
 // Close stops accepting connections. Established connections keep working
 // until their clients close them.
 func (s *Server) Close() { s.ln.Close(nil) }
-
-// Requests reports how many commands the server has processed.
-func (s *Server) Requests() int { return s.requests }
 
 func (s *Server) accept(c *simnet.Conn) {
 	c.OnData(func(msg []byte) {
@@ -132,18 +126,18 @@ func (s *Server) tag(req request) {
 	}
 	var kind oracle.AccessKind
 	switch req.Op {
-	case OpGet, OpExists, OpHGet, OpHGetAll, OpHLen, OpLLen, OpLRange:
+	case OpGet, OpExists, OpHGet:
 		kind = oracle.Read
 	case OpSetNX, OpIncr:
 		kind = oracle.Atomic
-	case OpSet, OpDel, OpAppend, OpHSet, OpHDel, OpLPush, OpRPush, OpLPop:
+	case OpSet, OpDel, OpAppend, OpHSet:
 		kind = oracle.Write
 	default:
 		return
 	}
 	cell := "kv:" + key
 	switch req.Op {
-	case OpHGet, OpHSet, OpHDel:
+	case OpHGet, OpHSet:
 		if len(req.Args) > 1 {
 			cell += ":" + req.Args[1]
 		}
@@ -152,7 +146,6 @@ func (s *Server) tag(req request) {
 }
 
 func (s *Server) apply(req request) response {
-	s.requests++
 	s.tag(req)
 	resp := response{ID: req.ID}
 	arg := func(i int) string {
@@ -228,66 +221,6 @@ func (s *Server) apply(req request) response {
 	case OpHGet:
 		v, ok := s.hashes[arg(0)][arg(1)]
 		resp.Val, resp.OK = v, ok
-
-	case OpHDel:
-		h := s.hashes[arg(0)]
-		_, had := h[arg(1)]
-		delete(h, arg(1))
-		resp.OK = had
-
-	case OpHGetAll:
-		resp.Val = string(encodeJSON(s.hashes[arg(0)]))
-		resp.OK = true
-
-	case OpHLen:
-		resp.Val = strconv.Itoa(len(s.hashes[arg(0)]))
-		resp.OK = true
-
-	case OpLPush:
-		s.lists[arg(0)] = append([]string{arg(1)}, s.lists[arg(0)]...)
-		resp.Val, resp.OK = strconv.Itoa(len(s.lists[arg(0)])), true
-
-	case OpRPush:
-		s.lists[arg(0)] = append(s.lists[arg(0)], arg(1))
-		resp.Val, resp.OK = strconv.Itoa(len(s.lists[arg(0)])), true
-
-	case OpLPop:
-		list := s.lists[arg(0)]
-		if len(list) == 0 {
-			resp.OK = false
-			break
-		}
-		resp.Val, resp.OK = list[0], true
-		if len(list) == 1 {
-			delete(s.lists, arg(0))
-		} else {
-			s.lists[arg(0)] = list[1:]
-		}
-
-	case OpLLen:
-		resp.Val, resp.OK = strconv.Itoa(len(s.lists[arg(0)])), true
-
-	case OpLRange:
-		list := s.lists[arg(0)]
-		start, _ := strconv.Atoi(arg(1))
-		stop, _ := strconv.Atoi(arg(2))
-		if start < 0 {
-			start += len(list)
-		}
-		if stop < 0 {
-			stop += len(list)
-		}
-		if start < 0 {
-			start = 0
-		}
-		if stop >= len(list) {
-			stop = len(list) - 1
-		}
-		if start > stop || len(list) == 0 {
-			resp.Val, resp.OK = "[]", true
-			break
-		}
-		resp.Val, resp.OK = string(encodeJSON(list[start:stop+1])), true
 
 	default:
 		resp.Err = "unknown op " + req.Op

@@ -227,13 +227,6 @@ func (p *Pool) PokeWaiters() {
 	p.mu.Unlock()
 }
 
-// QueueLen reports the number of tasks waiting to be executed.
-func (p *Pool) QueueLen() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.queue)
-}
-
 // Executed reports the total number of tasks that have begun execution.
 func (p *Pool) Executed() int {
 	p.mu.Lock()

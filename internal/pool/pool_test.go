@@ -58,6 +58,13 @@ func waitFor(t *testing.T, cond func() bool) {
 	}
 }
 
+// queueLen reports the number of tasks waiting to be executed.
+func queueLen(p *Pool) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.queue)
+}
+
 func TestPoolExecutesTasksAndDeliversResults(t *testing.T) {
 	c := &collector{}
 	p := New(Config{Size: 2, Post: c.post})
@@ -73,7 +80,7 @@ func TestPoolExecutesTasksAndDeliversResults(t *testing.T) {
 			Done: func(res any, err error) { got.Add(int64(res.(int))) },
 		})
 	}
-	waitFor(t, func() bool { return p.Executed() == n && p.QueueLen() == 0 })
+	waitFor(t, func() bool { return p.Executed() == n && queueLen(p) == 0 })
 	// Give the last completion time to post, then run done callbacks.
 	waitFor(t, func() bool { c.runAll(); return got.Load() == n*(n-1) })
 }
@@ -172,7 +179,7 @@ func TestPickerControlsTaskOrder(t *testing.T) {
 			return nil, nil
 		}})
 	}
-	waitFor(t, func() bool { return p.QueueLen() == 4 })
+	waitFor(t, func() bool { return queueLen(p) == 4 })
 	close(gate)
 	// Executed counts tasks taken, so wait for the last one to have run.
 	waitFor(t, func() bool {

@@ -134,12 +134,3 @@ func (a *Async) Unlink(path string, cb func(error)) {
 	a.work("unlink", func() (any, error) { return nil, a.fs.Unlink(path) },
 		func(_ any, err error) { cb(err) })
 }
-
-// ReadDir is the asynchronous FS.ReadDir.
-func (a *Async) ReadDir(path string, cb func([]string, error)) {
-	a.work("readdir", func() (any, error) { return a.fs.ReadDir(path) },
-		func(res any, err error) {
-			names, _ := res.([]string)
-			cb(names, err)
-		})
-}

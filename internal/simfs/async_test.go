@@ -46,10 +46,10 @@ func TestAsyncWriteReadRoundtrip(t *testing.T) {
 	}
 }
 
-func TestAsyncMkdirStatReadDir(t *testing.T) {
+func TestAsyncMkdirCreateStat(t *testing.T) {
 	l := eventloop.New(eventloop.Options{})
 	a := Bind(l, New(), time.Millisecond, 2)
-	var names []string
+	var dir, file Info
 	a.Mkdir("/d", func(err error) {
 		if err != nil {
 			t.Errorf("mkdir: %v", err)
@@ -57,16 +57,22 @@ func TestAsyncMkdirStatReadDir(t *testing.T) {
 		}
 		a.Create("/d/f", func(err error) {
 			a.Stat("/d/f", func(info Info, err error) {
-				if err != nil || info.IsDir {
-					t.Errorf("stat: %+v %v", info, err)
+				if err != nil {
+					t.Errorf("stat /d/f: %v", err)
 				}
-				a.ReadDir("/d", func(ns []string, err error) { names = ns })
+				file = info
+				a.Stat("/d", func(info Info, err error) {
+					if err != nil {
+						t.Errorf("stat /d: %v", err)
+					}
+					dir = info
+				})
 			})
 		})
 	})
 	runAsync(t, l)
-	if len(names) != 1 || names[0] != "f" {
-		t.Fatalf("names = %v", names)
+	if !dir.IsDir || file.IsDir {
+		t.Fatalf("stat: /d = %+v, /d/f = %+v", dir, file)
 	}
 }
 

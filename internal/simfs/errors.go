@@ -14,16 +14,14 @@ const (
 	ENOTDIR
 	EISDIR
 	EINVAL
-	ENOTEMPTY
 )
 
 var errnoNames = map[Errno]string{
-	EEXIST:    "EEXIST: file already exists",
-	ENOENT:    "ENOENT: no such file or directory",
-	ENOTDIR:   "ENOTDIR: not a directory",
-	EISDIR:    "EISDIR: illegal operation on a directory",
-	EINVAL:    "EINVAL: invalid argument",
-	ENOTEMPTY: "ENOTEMPTY: directory not empty",
+	EEXIST:  "EEXIST: file already exists",
+	ENOENT:  "ENOENT: no such file or directory",
+	ENOTDIR: "ENOTDIR: not a directory",
+	EISDIR:  "EISDIR: illegal operation on a directory",
+	EINVAL:  "EINVAL: invalid argument",
 }
 
 // Error implements the error interface.

@@ -18,7 +18,6 @@
 package simfs
 
 import (
-	"sort"
 	"strings"
 	"time"
 
@@ -409,97 +408,6 @@ func (fs *FS) Unlink(path string) error {
 	delete(parent.children, name)
 	fs.mu.Unlock()
 	fs.notify(WatchEvent{Op: WatchRemove, Path: canonical(path)})
-	return nil
-}
-
-// Rmdir removes the empty directory at path.
-func (fs *FS) Rmdir(path string) error {
-	fs.countOp("rmdir")
-	parts, ok := split(make([]string, 0, pathDepth), path)
-	if !ok || len(parts) == 0 {
-		return pathErr("rmdir", path, EINVAL)
-	}
-	fs.mu.Lock()
-	parent, name, code := fs.lookupParent(parts)
-	if code != 0 {
-		fs.mu.Unlock()
-		return pathErr("rmdir", path, code)
-	}
-	n, exists := parent.children[name]
-	if !exists {
-		fs.mu.Unlock()
-		return pathErr("rmdir", path, ENOENT)
-	}
-	if !n.dir {
-		fs.mu.Unlock()
-		return pathErr("rmdir", path, ENOTDIR)
-	}
-	if len(n.children) > 0 {
-		fs.mu.Unlock()
-		return pathErr("rmdir", path, ENOTEMPTY)
-	}
-	delete(parent.children, name)
-	fs.mu.Unlock()
-	fs.notify(WatchEvent{Op: WatchRemove, Path: canonical(path)})
-	return nil
-}
-
-// ReadDir lists the names in the directory at path, sorted.
-func (fs *FS) ReadDir(path string) ([]string, error) {
-	fs.countOp("readdir")
-	parts, ok := split(make([]string, 0, pathDepth), path)
-	if !ok {
-		return nil, pathErr("readdir", path, EINVAL)
-	}
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	n := fs.lookup(parts)
-	if n == nil {
-		return nil, pathErr("readdir", path, ENOENT)
-	}
-	if !n.dir {
-		return nil, pathErr("readdir", path, ENOTDIR)
-	}
-	names := make([]string, 0, len(n.children))
-	for name := range n.children {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names, nil
-}
-
-// Rename moves oldPath to newPath, replacing a non-directory target.
-func (fs *FS) Rename(oldPath, newPath string) error {
-	fs.countOp("rename")
-	op, ok1 := split(make([]string, 0, pathDepth), oldPath)
-	np, ok2 := split(make([]string, 0, pathDepth), newPath)
-	if !ok1 || !ok2 || len(op) == 0 || len(np) == 0 {
-		return pathErr("rename", oldPath, EINVAL)
-	}
-	fs.mu.Lock()
-	oldParent, oldName, code := fs.lookupParent(op)
-	if code != 0 {
-		fs.mu.Unlock()
-		return pathErr("rename", oldPath, code)
-	}
-	n, exists := oldParent.children[oldName]
-	if !exists {
-		fs.mu.Unlock()
-		return pathErr("rename", oldPath, ENOENT)
-	}
-	newParent, newName, code := fs.lookupParent(np)
-	if code != 0 {
-		fs.mu.Unlock()
-		return pathErr("rename", newPath, code)
-	}
-	if target, exists := newParent.children[newName]; exists && target.dir {
-		fs.mu.Unlock()
-		return pathErr("rename", newPath, EISDIR)
-	}
-	delete(oldParent.children, oldName)
-	newParent.children[newName] = n
-	fs.mu.Unlock()
-	fs.notify(WatchEvent{Op: WatchRename, Path: canonical(newPath), Old: canonical(oldPath)})
 	return nil
 }
 

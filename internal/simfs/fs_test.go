@@ -179,13 +179,10 @@ func TestPageGranularWriteAtomicity(t *testing.T) {
 	}
 }
 
-func TestUnlinkAndRmdir(t *testing.T) {
+func TestUnlink(t *testing.T) {
 	fs := New()
 	_ = fs.Mkdir("/d")
 	_ = fs.WriteFile("/d/f", []byte("x"))
-	if err := fs.Rmdir("/d"); !IsErrno(err, ENOTEMPTY) {
-		t.Fatalf("rmdir non-empty = %v", err)
-	}
 	if err := fs.Unlink("/d"); !IsErrno(err, EISDIR) {
 		t.Fatalf("unlink dir = %v", err)
 	}
@@ -195,46 +192,8 @@ func TestUnlinkAndRmdir(t *testing.T) {
 	if err := fs.Unlink("/d/f"); !IsErrno(err, ENOENT) {
 		t.Fatalf("unlink twice = %v", err)
 	}
-	if err := fs.Rmdir("/d"); err != nil {
-		t.Fatal(err)
-	}
-	if fs.Exists("/d") {
-		t.Fatal("dir still exists")
-	}
-}
-
-func TestReadDirSorted(t *testing.T) {
-	fs := New()
-	_ = fs.Mkdir("/d")
-	_ = fs.Create("/d/b")
-	_ = fs.Create("/d/a")
-	_ = fs.Mkdir("/d/c")
-	names, err := fs.ReadDir("/d")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"a", "b", "c"}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("names = %v", names)
-		}
-	}
-	if _, err := fs.ReadDir("/d/a"); !IsErrno(err, ENOTDIR) {
-		t.Fatalf("readdir file = %v", err)
-	}
-}
-
-func TestRename(t *testing.T) {
-	fs := New()
-	_ = fs.WriteFile("/a", []byte("x"))
-	if err := fs.Rename("/a", "/b"); err != nil {
-		t.Fatal(err)
-	}
-	if fs.Exists("/a") || !fs.Exists("/b") {
-		t.Fatal("rename did not move")
-	}
-	if err := fs.Rename("/missing", "/c"); !IsErrno(err, ENOENT) {
-		t.Fatalf("rename missing = %v", err)
+	if fs.Exists("/d/f") || !fs.Exists("/d") {
+		t.Fatal("unlink removed the wrong node")
 	}
 }
 

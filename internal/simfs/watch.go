@@ -15,14 +15,12 @@ const (
 	WatchWrite  WatchOp = "write"
 	WatchMkdir  WatchOp = "mkdir"
 	WatchRemove WatchOp = "remove"
-	WatchRename WatchOp = "rename"
 )
 
 // WatchEvent is one observed mutation.
 type WatchEvent struct {
 	Op   WatchOp
-	Path string // the affected path (for rename: the new path)
-	Old  string // for rename: the old path
+	Path string // the affected path
 }
 
 // Watcher delivers filesystem change notifications to an event loop — the
@@ -95,7 +93,7 @@ func (fs *FS) notify(ev WatchEvent) {
 	fs.watchMu.Lock()
 	var targets []*Watcher
 	for _, w := range fs.watchers {
-		if w.matches(ev.Path) || (ev.Old != "" && w.matches(ev.Old)) {
+		if w.matches(ev.Path) {
 			targets = append(targets, w)
 		}
 	}
